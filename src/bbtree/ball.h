@@ -33,6 +33,19 @@ double BallDistanceLowerBound(const BregmanDivergence& div,
                               std::span<const double> grad_y,
                               int max_iters = 40);
 
+/// Range-pruning decision: the answer to `!(BallDistanceLowerBound(div,
+/// ball, y, grad_y, max_iters) > radius)`, i.e. whether the ball may hold a
+/// point within `radius` of y, decided as soon as it is certain. It keeps
+/// the ball when y is inside it or the center is within range, then runs
+/// the same bisection and stops at the first step whose x_theta is a ball
+/// member within range (keep) or whose dual value exceeds the radius
+/// (prune). Both are certificates in exact arithmetic, so range answers
+/// stay exact; only an undecided ball pays for all `max_iters` steps.
+bool BallMayReachRange(const BregmanDivergence& div, const BregmanBall& ball,
+                       std::span<const double> y,
+                       std::span<const double> grad_y, double radius,
+                       int max_iters = 40);
+
 }  // namespace brep
 
 #endif  // BREP_BBTREE_BALL_H_

@@ -100,11 +100,12 @@ class BBForest {
   }
   const PointStore& point_store() const { return *store_; }
 
-  /// Filter step: run the cluster-granularity range query in every subspace
-  /// (query subvector `y_subs[m]`, radius `radii[m]`) and return the union
-  /// of candidate ids (sorted, deduplicated). Theorem 3 guarantees the true
-  /// kNN are inside when the radii are the components of the k-th smallest
-  /// upper bound.
+  /// Filter step: run the range query `filter_mode()` selects in every
+  /// subspace (query subvector `y_subs[m]`, radius `radii[m]`) -- by default
+  /// the exact range search, else the cluster-granularity one -- and return
+  /// the union of candidate ids (sorted, deduplicated). Theorem 3 guarantees
+  /// the true kNN are inside when the radii are the components of the k-th
+  /// smallest upper bound.
   std::vector<uint32_t> RangeCandidatesUnion(
       std::span<const std::vector<double>> y_subs,
       std::span<const double> radii, SearchStats* stats = nullptr) const;

@@ -224,7 +224,10 @@ std::vector<uint32_t> BBTree::RangeSearch(std::span<const double> y,
     stack.pop_back();
     const Node& node = nodes_[idx];
     ++st.nodes_visited;
-    if (NodeLowerBound(node, y, grad_y) > radius) continue;
+    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius,
+                           config_.bound_iters)) {
+      continue;
+    }
     if (node.is_leaf()) {
       ++st.leaves_visited;
       leaf_d.resize(node.ids.size());
@@ -260,7 +263,10 @@ std::vector<uint32_t> BBTree::RangeCandidates(std::span<const double> y,
     stack.pop_back();
     const Node& node = nodes_[idx];
     ++st.nodes_visited;
-    if (NodeLowerBound(node, y, grad_y) > radius) continue;
+    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius,
+                           config_.bound_iters)) {
+      continue;
+    }
     if (node.is_leaf()) {
       ++st.leaves_visited;
       result.insert(result.end(), node.ids.begin(), node.ids.end());

@@ -965,8 +965,7 @@ std::vector<uint32_t> DiskBBTree::RangeCandidates(std::span<const double> y,
     // as the kNN descent); a surviving node continues with just the tail.
     DiskNode node = ReadNodeHeader(off);
     ++st.nodes_visited;
-    if (BallDistanceLowerBound(div_, node.ball, y, grad_y, bound_iters_) >
-        radius) {
+    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius, bound_iters_)) {
       continue;
     }
     ReadNodeTail(off, &node);
@@ -1006,8 +1005,7 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(std::span<const double> y,
     stack.pop_back();
     DiskNode node = ReadNodeHeader(off);
     ++st.nodes_visited;
-    if (BallDistanceLowerBound(div_, node.ball, y, grad_y, bound_iters_) >
-        radius) {
+    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius, bound_iters_)) {
       continue;
     }
     ReadNodeTail(off, &node);

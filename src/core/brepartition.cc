@@ -704,7 +704,8 @@ std::vector<Neighbor> BrePartition::FilterAndRefineOn(
   QueryStats local;
   QueryStats& st = stats != nullptr ? *stats : local;
 
-  // Filter: cluster-granularity range queries over every subspace tree.
+  // Filter: a range query over every subspace tree, exact or
+  // cluster-granularity as the forest's filter mode selects.
   Timer filter_timer;
   SearchStats tree_stats;
   const std::vector<uint32_t> candidates =

@@ -41,9 +41,10 @@ namespace brep {
 ///
 /// Search (Algorithm 6): transform the query into per-subspace triples Q(y)
 /// (Algorithm 3), take the k-th smallest total upper bound's components as
-/// per-subspace range radii (Algorithm 4), run the cluster-granularity range
-/// queries over the forest, union the candidates, fetch them from disk and
-/// refine exactly. Theorem 3 guarantees the exact kNN is returned.
+/// per-subspace range radii (Algorithm 4), run the range queries over the
+/// forest (exact by default, cluster-granularity under FilterMode::kCluster),
+/// union the candidates, fetch them from disk and refine exactly. Theorem 3
+/// guarantees the exact kNN is returned.
 ///
 /// The divergence's generator must be PartitionSafe() (everything but KL).
 /// `data` must outlive the index (it is referenced by the approximate

@@ -92,6 +92,47 @@ TEST_P(BallBoundTest, BoundIsReasonablyTightForDistantQueries) {
   EXPECT_GT(best_ratio, 0.005);
 }
 
+TEST_P(BallBoundTest, RangeDecisionKeepsReachableBallsAndMatchesBound) {
+  // Balls over rows [0, hi); hi = 1 is the radius-0 ball of row 0.
+  size_t keeps = 0, prunes = 0;
+  for (size_t hi : {1, 50, 150}) {
+    BregmanBall ball = BallOf(0, hi);
+    if (hi == 1) ball.radius = 0.0;
+    std::vector<std::vector<double>> queries{ball.center};  // inside
+    for (size_t q = 300; q < 340; ++q) {
+      queries.emplace_back(data_.Row(q).begin(), data_.Row(q).end());
+    }
+    std::vector<double> grad(kDim);
+    for (const auto& y : queries) {
+      div_.Gradient(y, std::span<double>(grad));
+      const double lb = BallDistanceLowerBound(div_, ball, y, grad);
+      double min_d = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < hi; ++i) {
+        min_d = std::min(min_d, div_.Divergence(data_.Row(i), y));
+      }
+      for (double base : {min_d, lb}) {
+        for (double mult : {0.0, 0.5, 0.99, 1.01, 2.0}) {
+          const double radius = mult * base;
+          const bool keep = BallMayReachRange(div_, ball, y, grad, radius);
+          // A 2-step cap reaches the final test; it may prune more than
+          // the 2-step bound would, but never a ball within range.
+          const bool capped_keep =
+              BallMayReachRange(div_, ball, y, grad, radius, 2);
+          if (min_d <= radius) {
+            EXPECT_TRUE(keep) << "a member is within radius " << radius;
+            EXPECT_TRUE(capped_keep) << "capped, radius " << radius;
+          }
+          EXPECT_EQ(keep, !(lb > radius))
+              << "ball " << hi << " radius " << radius << " bound " << lb;
+          ++(keep ? keeps : prunes);
+        }
+      }
+    }
+  }
+  EXPECT_GT(keeps, 0u);
+  EXPECT_GT(prunes, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Generators, BallBoundTest,
     ::testing::Values("squared_l2", "itakura_saito", "exponential"),

@@ -61,6 +61,97 @@ TEST_P(DiskBBTreeTest, RangeCandidatesMatchInMemoryTree) {
   }
 }
 
+/// Reference range descent over BBTree::nodes(): the trees' own depth-first
+/// order, pruning with the value form of the ball bound. `exact` holds the
+/// ids within `radius`, `candidates` every id of every kept leaf; `stats`
+/// counts the exact search's work (the candidate descent evaluates no
+/// points).
+struct ReferenceRange {
+  std::vector<uint32_t> exact, candidates;
+  SearchStats stats;
+};
+
+ReferenceRange ReferenceRangeDescent(const BBTree& tree,
+                                     std::span<const double> y,
+                                     double radius) {
+  const BregmanDivergence& div = tree.divergence();
+  std::vector<double> grad(div.dim());
+  div.Gradient(y, std::span<double>(grad));
+  ReferenceRange ref;
+  std::vector<int32_t> stack{tree.root()};
+  while (!stack.empty()) {
+    const BBTree::Node& node = tree.nodes()[stack.back()];
+    stack.pop_back();
+    ++ref.stats.nodes_visited;
+    if (BallDistanceLowerBound(div, node.ball, y, grad,
+                               tree.config().bound_iters) > radius) {
+      continue;
+    }
+    if (node.is_leaf()) {
+      ++ref.stats.leaves_visited;
+      for (uint32_t id : node.ids) {
+        ++ref.stats.points_evaluated;
+        ref.candidates.push_back(id);
+        if (div.Divergence(tree.data().Row(id), y) <= radius) {
+          ref.exact.push_back(id);
+        }
+      }
+    } else {
+      stack.push_back(node.left);
+      stack.push_back(node.right);
+    }
+  }
+  return ref;
+}
+
+TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
+  MemPager pager(4096);
+  const BBTree mem_tree(data_, div_, tree_config_);
+  const DiskBBTree disk_tree(&pager, mem_tree);
+  const LinearScan scan(data_, div_);
+
+  auto expect_same = [](const std::vector<uint32_t>& got,
+                        const SearchStats& got_stats,
+                        const std::vector<uint32_t>& want,
+                        const SearchStats& want_stats, const char* method) {
+    EXPECT_EQ(got, want) << method;
+    EXPECT_EQ(got_stats.nodes_visited, want_stats.nodes_visited) << method;
+    EXPECT_EQ(got_stats.leaves_visited, want_stats.leaves_visited) << method;
+    EXPECT_EQ(got_stats.points_evaluated, want_stats.points_evaluated)
+        << method;
+  };
+
+  for (size_t q = 0; q < queries_.rows(); ++q) {
+    const auto y = queries_.Row(q);
+    auto dists = scan.AllDistances(y);
+    const double farthest = *std::max_element(dists.begin(), dists.end());
+    for (double radius : {0.0, Quantile(dists, 0.01), Quantile(dists, 0.1),
+                          Quantile(dists, 0.5), farthest, 2.0 * farthest}) {
+      SCOPED_TRACE("query " + std::to_string(q) + " radius " +
+                   std::to_string(radius));
+      const ReferenceRange ref = ReferenceRangeDescent(mem_tree, y, radius);
+      SearchStats cand_stats = ref.stats;
+      cand_stats.points_evaluated = 0;
+
+      SearchStats st;
+      auto got = mem_tree.RangeSearch(y, radius, &st);
+      expect_same(got, st, ref.exact, ref.stats, "BBTree::RangeSearch");
+      st = {};
+      got = mem_tree.RangeCandidates(y, radius, &st);
+      expect_same(got, st, ref.candidates, cand_stats,
+                  "BBTree::RangeCandidates");
+      st = {};
+      got = disk_tree.RangeSearchExact(y, radius, &st);
+      expect_same(got, st, ref.exact, ref.stats,
+                  "DiskBBTree::RangeSearchExact");
+      st = {};
+      got = disk_tree.RangeCandidates(y, radius, &st);
+      expect_same(got, st, ref.candidates, cand_stats,
+                  "DiskBBTree::RangeCandidates");
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Generators, DiskBBTreeTest,
                          ::testing::Values("squared_l2", "itakura_saito",
                                            "exponential"),
