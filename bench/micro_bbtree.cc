@@ -111,7 +111,7 @@ void BM_BBTreeKnn(benchmark::State& state) {
   size_t q = 0;
   size_t evaluated = 0;
   for (auto _ : state) {
-    SearchStats stats;
+    WorkCounters stats;
     benchmark::DoNotOptimize(tree.KnnSearch(queries.Row(q % 16), 10, &stats));
     evaluated += stats.points_evaluated;
     ++q;

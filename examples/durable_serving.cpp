@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       if (!built->Delete(id).ok()) return 1;
       acknowledged.erase(id);
     }
-    const EngineStats us = built->UpdateStats();
+    const SearchIndex::Stats us = built->UpdateStats();
     std::printf("acknowledged %llu inserts + %llu deletes "
                 "(%llu WAL appends, %llu fsync barriers)\n",
                 static_cast<unsigned long long>(us.inserts),

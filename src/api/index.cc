@@ -66,6 +66,17 @@ void RecordUpdate(const BrePartition& bp, char op, double total_ms,
   trace.Record(std::move(entry));
 }
 
+/// The join's work in the shared vocabulary (the mapping documented on
+/// WorkCounters): node pairs, leaf blocks and pair distances.
+WorkCounters JoinWork(const JoinStats& js) {
+  WorkCounters w;
+  w.nodes_visited = js.node_pairs_visited;
+  w.leaves_visited = js.leaf_blocks;
+  w.points_evaluated = js.pairs_evaluated;
+  w.candidates = js.pairs_evaluated;
+  return w;
+}
+
 /// The shared join body of Index and ParallelIndex: pin a read snapshot,
 /// materialize the live point set S from its point store (ascending id
 /// order, so the (distance, id) tie-break matches single queries), run the
@@ -135,10 +146,7 @@ StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
     if (options.measure_recall) result.stats.sampled_recall = 1.0;
   }
 
-  stats->nodes_visited += result.stats.node_pairs_visited;
-  stats->leaves_visited += result.stats.leaf_blocks;
-  stats->points_evaluated += result.stats.pairs_evaluated;
-  stats->candidates += result.stats.pairs_evaluated;
+  *stats += JoinWork(result.stats);
   return result;
 }
 
@@ -163,15 +171,13 @@ void RecordJoin(const BrePartition& bp, size_t rows, size_t k,
   obs::TraceLog& trace = bp.trace_log();
   if (total_ms < trace.threshold_ms()) return;
   obs::QueryTraceEntry entry;
+  static_cast<WorkCounters&>(entry) = JoinWork(result.stats);
   entry.op = 'j';
   entry.k = k;
   entry.results = rows;
   entry.bound_ms = result.stats.build_ms;
   entry.refine_ms = result.stats.descent_ms;
   entry.total_ms = total_ms;
-  entry.nodes_visited = result.stats.node_pairs_visited;
-  entry.leaves_visited = result.stats.leaf_blocks;
-  entry.points_evaluated = result.stats.pairs_evaluated;
   entry.node_pairs_pruned = result.stats.node_pairs_pruned;
   trace.Record(entry);
 }
@@ -448,12 +454,17 @@ StatusOr<std::unique_ptr<SearchIndex>> Index::Approximate(
   return view;
 }
 
-EngineStats Index::UpdateStats() const {
-  EngineStats stats;
-  std::tie(stats.inserts, stats.deletes) = bp_->update_totals();
-  const WalWriter::Stats ws = wal_stats();
-  stats.wal_appends = ws.appends;
-  stats.wal_fsyncs = ws.fsyncs;
+SearchIndex::Stats Index::UpdateStats() const {
+  Stats stats;
+  // One acquisition for both lanes: the WAL pointer is published under the
+  // same mutex every write holds while it appends and applies.
+  std::lock_guard<std::mutex> lock(bp_->writer_mutex());
+  std::tie(stats.inserts, stats.deletes) = bp_->UpdateTotalsLocked();
+  if (wal_ != nullptr) {
+    const WalWriter::Stats ws = wal_->stats();
+    stats.wal_appends = ws.appends;
+    stats.wal_fsyncs = ws.fsyncs;
+  }
   stats.wal_replayed = recovery_.replayed_inserts + recovery_.replayed_deletes;
   return stats;
 }
@@ -812,17 +823,17 @@ StatusOr<std::vector<uint32_t>> ParallelIndex::RangeImpl(
 
 StatusOr<std::vector<std::vector<Neighbor>>> ParallelIndex::KnnBatchImpl(
     const Matrix& queries, size_t k, Stats* stats) const {
-  EngineStats es;
-  auto result = engine_->KnnSearchBatch(queries, k, &es);
-  stats->Add(es);
+  QueryStats qs;
+  auto result = engine_->KnnSearchBatch(queries, k, &qs);
+  stats->Add(qs);
   return result;
 }
 
 StatusOr<std::vector<std::vector<uint32_t>>> ParallelIndex::RangeBatchImpl(
     const Matrix& queries, double radius, Stats* stats) const {
-  EngineStats es;
-  auto result = engine_->RangeSearchBatch(queries, radius, &es);
-  stats->Add(es);
+  QueryStats qs;
+  auto result = engine_->RangeSearchBatch(queries, radius, &qs);
+  stats->Add(qs);
   return result;
 }
 

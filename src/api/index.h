@@ -12,7 +12,6 @@
 #include "core/optimal_m.h"
 #include "dataset/matrix.h"
 #include "divergence/bregman.h"
-#include "engine/engine_stats.h"
 
 /// \file
 /// The facade over the paper's index: builder-style construction, typed
@@ -126,9 +125,10 @@ class Index final : public SearchIndex {
   StatusOr<std::unique_ptr<SearchIndex>> Approximate(
       const ApproximateConfig& config) const;
 
-  /// Lifetime insert/delete lanes of this index (exact, lock-consistent),
-  /// plus the WAL lanes (appends/fsyncs/replayed) when durability is on.
-  EngineStats UpdateStats() const;
+  /// Lifetime insert/delete lanes of this index, plus the WAL lanes
+  /// (appends/fsyncs/replayed) when durability is on. All are read under
+  /// one writer-mutex acquisition, so no write lands between them.
+  Stats UpdateStats() const;
 
   /// Whether this index runs under a write-ahead log.
   bool durable() const { return durability_.enabled(); }

@@ -34,6 +34,16 @@ class IoDelta {
   IoStats before_;
 };
 
+/// The single-tree adapters' mapping (see WorkCounters): a whole-space
+/// tree evaluates its leaf points exactly, so they are the call's
+/// candidates.
+void AddTreeWork(const WorkCounters& tree, const IoDelta& io,
+                 SearchIndex::Stats* st) {
+  st->io_reads += io.reads();
+  st->nodes_visited += tree.nodes_visited;
+  st->candidates += tree.points_evaluated;
+}
+
 Status CheckCommon(const Pager* pager, const Matrix& data,
                    const BregmanDivergence& div, bool needs_pager) {
   if (needs_pager && pager == nullptr) {
@@ -136,11 +146,9 @@ class BBTreeBackend final : public SearchIndex {
   StatusOr<std::vector<Neighbor>> KnnImpl(std::span<const double> y, size_t k,
                                           Stats* st) const override {
     IoDelta io(pager_);
-    SearchStats ss;
-    auto result = bbt_->KnnSearch(y, k, &ss);
-    st->io_reads += io.reads();
-    st->nodes_visited += ss.nodes_visited;
-    st->candidates += ss.points_evaluated;
+    WorkCounters tree;
+    auto result = bbt_->KnnSearch(y, k, &tree);
+    AddTreeWork(tree, io, st);
     return result;
   }
 
@@ -148,15 +156,13 @@ class BBTreeBackend final : public SearchIndex {
                                             double radius,
                                             Stats* st) const override {
     IoDelta io(pager_);
-    SearchStats ss;
+    WorkCounters tree;
     // The whole-space tree's leaves store full vectors, so the exact range
     // algorithm answers directly from index pages.
     std::vector<uint32_t> ids =
-        bbt_->tree().RangeSearchExact(y, radius, &ss);
+        bbt_->tree().RangeSearchExact(y, radius, &tree);
     std::sort(ids.begin(), ids.end());
-    st->io_reads += io.reads();
-    st->nodes_visited += ss.nodes_visited;
-    st->candidates += ss.points_evaluated;
+    AddTreeWork(tree, io, st);
     return ids;
   }
 
@@ -264,11 +270,9 @@ class VarBackend final : public SearchIndex {
   StatusOr<std::vector<Neighbor>> KnnImpl(std::span<const double> y, size_t k,
                                           Stats* st) const override {
     IoDelta io(pager_);
-    SearchStats ss;
-    auto result = var_->KnnSearch(y, k, &ss);
-    st->io_reads += io.reads();
-    st->nodes_visited += ss.nodes_visited;
-    st->candidates += ss.points_evaluated;
+    WorkCounters tree;
+    auto result = var_->KnnSearch(y, k, &tree);
+    AddTreeWork(tree, io, st);
     return result;
   }
 
@@ -459,30 +463,9 @@ Status SearchIndex::CheckEvaluable(std::span<const double> v,
 }
 
 void SearchIndex::Stats::Add(const QueryStats& qs) {
-  io_reads += qs.io_reads;
-  candidates += qs.candidates;
-  nodes_visited += qs.nodes_visited;
-  leaves_visited += qs.leaves_visited;
-  points_evaluated += qs.points_evaluated;
-  pool_hits += qs.pool_hits;
-  pool_misses += qs.pool_misses;
+  *this += static_cast<const WorkCounters&>(qs);
   radius_total += qs.radius_total;
   approx_coefficient = qs.approx_coefficient;
-}
-
-void SearchIndex::Stats::Add(const EngineStats& es) {
-  inserts += es.inserts;
-  deletes += es.deletes;
-  wal_appends += es.wal_appends;
-  wal_fsyncs += es.wal_fsyncs;
-  wal_replayed += es.wal_replayed;
-  io_reads += es.io_reads;
-  candidates += es.candidates;
-  nodes_visited += es.nodes_visited;
-  leaves_visited += es.leaves_visited;
-  points_evaluated += es.points_evaluated;
-  pool_hits += es.pool_hits;
-  pool_misses += es.pool_misses;
 }
 
 StatusOr<uint32_t> SearchIndex::Insert(std::span<const double> point,

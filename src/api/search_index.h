@@ -11,6 +11,7 @@
 #include "baselines/bbt_baseline.h"
 #include "baselines/var_baseline.h"
 #include "common/top_k.h"
+#include "common/work_counters.h"
 #include "core/approximate.h"
 #include "core/config.h"
 #include "dataset/matrix.h"
@@ -32,7 +33,6 @@
 namespace brep {
 
 class BrePartition;
-struct EngineStats;
 struct QueryStats;
 
 /// Uniform kNN/range interface implemented by every backend adapter and by
@@ -42,10 +42,13 @@ struct QueryStats;
 /// through this interface.
 class SearchIndex {
  public:
-  /// Unified per-call measurements. For batch calls the counters are sums
-  /// over the batch and `wall_ms` is the batch wall-clock (so Qps() is the
-  /// serving throughput); for single calls queries == 1.
-  struct Stats {
+  /// Unified per-call measurements: the call's work (WorkCounters, whose
+  /// per-backend meaning is documented there; 0 where a backend has no
+  /// such work) plus the wrapper's and the write path's lanes. For batch
+  /// calls the counters are sums over the batch and `wall_ms` is the batch
+  /// wall-clock (so Qps() is the serving throughput); for single calls
+  /// queries == 1.
+  struct Stats : WorkCounters {
     uint64_t queries = 0;
     /// Write lanes: completed Insert/Delete calls through this surface.
     uint64_t inserts = 0;
@@ -56,23 +59,6 @@ class SearchIndex {
     uint64_t wal_appends = 0;
     uint64_t wal_fsyncs = 0;
     uint64_t wal_replayed = 0;
-    /// Pager page reads issued (index + data). 0 for memory-only backends
-    /// (linear scan).
-    uint64_t io_reads = 0;
-    /// Candidate points fetched and exactly evaluated.
-    uint64_t candidates = 0;
-    /// Index nodes visited (0 for backends without a tree).
-    uint64_t nodes_visited = 0;
-    /// Tree leaves scanned during the filter phase.
-    uint64_t leaves_visited = 0;
-    /// Divergence evaluations performed inside the index structures
-    /// (filter-phase pruning; the refine phase's exact evaluations are
-    /// `candidates`).
-    uint64_t points_evaluated = 0;
-    /// Buffer-pool traffic during this call (node-cache hits/misses;
-    /// approximate when calls overlap -- the pools are shared).
-    uint64_t pool_hits = 0;
-    uint64_t pool_misses = 0;
     /// Total searching bound (BrePartition family; diagnostic).
     double radius_total = 0.0;
     /// Tightening coefficient applied by approximate backends (1 = exact).
@@ -87,7 +73,6 @@ class SearchIndex {
     /// Accumulate one implementation-layer stats record (used by the
     /// backend adapters; `queries`/`wall_ms` stay with the wrapper).
     void Add(const QueryStats& qs);
-    void Add(const EngineStats& es);
   };
 
   virtual ~SearchIndex() = default;

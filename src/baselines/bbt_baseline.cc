@@ -18,7 +18,7 @@ BBTBaseline::BBTBaseline(Pager* pager, const Matrix& data,
 
 std::vector<Neighbor> BBTBaseline::KnnSearch(std::span<const double> y,
                                              size_t k,
-                                             SearchStats* stats) const {
+                                             WorkCounters* stats) const {
   return tree_->KnnSearch(y, k, *store_, stats);
 }
 

@@ -34,7 +34,7 @@ class BBTBaseline {
 
   /// Exact branch-and-bound kNN with disk-charged node and data reads.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
-                                  SearchStats* stats = nullptr) const;
+                                  WorkCounters* stats = nullptr) const;
 
   const DiskBBTree& tree() const { return *tree_; }
   const PointStore& point_store() const { return *store_; }

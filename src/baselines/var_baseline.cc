@@ -10,7 +10,7 @@ VarBaseline::VarBaseline(Pager* pager, const Matrix& data,
 
 std::vector<Neighbor> VarBaseline::KnnSearch(std::span<const double> y,
                                              size_t k,
-                                             SearchStats* stats) const {
+                                             WorkCounters* stats) const {
   return base_->tree().KnnSearchVariational(
       y, k, base_->point_store(), config_.min_expected_hits, stats);
 }

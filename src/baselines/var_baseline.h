@@ -35,7 +35,7 @@ class VarBaseline {
 
   /// Approximate kNN.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
-                                  SearchStats* stats = nullptr) const;
+                                  WorkCounters* stats = nullptr) const;
 
  private:
   VarBaselineConfig config_;

@@ -152,7 +152,7 @@ BBForest::PoolCounters BBForest::pool_counters() const {
 
 std::vector<uint32_t> BBForest::RangeCandidatesUnion(
     std::span<const std::vector<double>> y_subs, std::span<const double> radii,
-    SearchStats* stats) const {
+    WorkCounters* stats) const {
   BREP_CHECK(y_subs.size() == trees_.size());
   BREP_CHECK(radii.size() == trees_.size());
   std::vector<uint32_t> all;

@@ -108,7 +108,7 @@ class BBForest {
   /// smallest upper bound.
   std::vector<uint32_t> RangeCandidatesUnion(
       std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, SearchStats* stats = nullptr) const;
+      std::span<const double> radii, WorkCounters* stats = nullptr) const;
 
   FilterMode filter_mode() const { return filter_mode_; }
   /// Buffer-pool pages per disk tree (persisted so Open restores the same

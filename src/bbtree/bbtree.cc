@@ -155,11 +155,11 @@ double BBTree::NodeLowerBound(const Node& node, std::span<const double> y,
 }
 
 std::vector<Neighbor> BBTree::KnnSearch(std::span<const double> y, size_t k,
-                                        SearchStats* stats) const {
+                                        WorkCounters* stats) const {
   BREP_CHECK(y.size() == div_.dim());
   if (root_ < 0) return {};  // deleted down to empty
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
+  WorkCounters local;
+  WorkCounters& st = stats != nullptr ? *stats : local;
 
   std::vector<double> grad_y(div_.dim());
   div_.Gradient(y, std::span<double>(grad_y));
@@ -204,11 +204,11 @@ std::vector<Neighbor> BBTree::KnnSearch(std::span<const double> y, size_t k,
 
 std::vector<uint32_t> BBTree::RangeSearch(std::span<const double> y,
                                           double radius,
-                                          SearchStats* stats) const {
+                                          WorkCounters* stats) const {
   BREP_CHECK(y.size() == div_.dim());
   if (root_ < 0) return {};  // deleted down to empty
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
+  WorkCounters local;
+  WorkCounters& st = stats != nullptr ? *stats : local;
 
   std::vector<double> grad_y(div_.dim());
   div_.Gradient(y, std::span<double>(grad_y));
@@ -247,11 +247,11 @@ std::vector<uint32_t> BBTree::RangeSearch(std::span<const double> y,
 
 std::vector<uint32_t> BBTree::RangeCandidates(std::span<const double> y,
                                               double radius,
-                                              SearchStats* stats) const {
+                                              WorkCounters* stats) const {
   BREP_CHECK(y.size() == div_.dim());
   if (root_ < 0) return {};  // deleted down to empty
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
+  WorkCounters local;
+  WorkCounters& st = stats != nullptr ? *stats : local;
 
   std::vector<double> grad_y(div_.dim());
   div_.Gradient(y, std::span<double>(grad_y));

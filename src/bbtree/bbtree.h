@@ -8,6 +8,7 @@
 #include "bbtree/ball.h"
 #include "common/rng.h"
 #include "common/top_k.h"
+#include "common/work_counters.h"
 #include "dataset/matrix.h"
 #include "divergence/bregman.h"
 
@@ -23,13 +24,6 @@ struct BBTreeConfig {
   int bound_iters = 40;
   /// Seed for the (deterministic) clustering randomness.
   uint64_t seed = 42;
-};
-
-/// Logical work counters for a single tree search.
-struct SearchStats {
-  size_t nodes_visited = 0;
-  size_t leaves_visited = 0;
-  size_t points_evaluated = 0;
 };
 
 /// In-memory Bregman Ball tree (Cayton, ICML 2008).
@@ -64,11 +58,11 @@ class BBTree {
 
   /// Exact kNN of `y` (paper convention: minimize D(x, y)).
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
-                                  SearchStats* stats = nullptr) const;
+                                  WorkCounters* stats = nullptr) const;
 
   /// Exact range search: all ids with D(x, y) <= radius.
   std::vector<uint32_t> RangeSearch(std::span<const double> y, double radius,
-                                    SearchStats* stats = nullptr) const;
+                                    WorkCounters* stats = nullptr) const;
 
   /// Cluster-granularity range filter: the union of all points of every
   /// leaf whose ball may intersect {x : D(x, y) <= radius}. Superset of
@@ -76,7 +70,7 @@ class BBTree {
   /// from disk for refinement.
   std::vector<uint32_t> RangeCandidates(std::span<const double> y,
                                         double radius,
-                                        SearchStats* stats = nullptr) const;
+                                        WorkCounters* stats = nullptr) const;
 
   /// Point ids in left-to-right leaf order; the BB-forest lays out the
   /// point store in this order (paper Section 6).

@@ -96,14 +96,12 @@ std::vector<double> ConcatSoA(const std::vector<double>& a, size_t ca,
 
 }  // namespace
 
-DiskBBTree::DiskBBTree(Pager* pager, const BBTree& tree, size_t pool_pages,
-                       bool header_child_bounds)
+DiskBBTree::DiskBBTree(Pager* pager, const BBTree& tree, size_t pool_pages)
     : pager_(pager),
       src_(pager),
       page_size_(pager == nullptr ? 0 : pager->page_size()),
       div_(tree.divergence()),
       bound_iters_(tree.config().bound_iters),
-      header_child_bounds_(header_child_bounds),
       max_leaf_size_(tree.config().max_leaf_size),
       kmeans_iters_(tree.config().kmeans_iters),
       insert_seed_(tree.config().seed ^ 0xD15CF00DULL),
@@ -238,7 +236,6 @@ DiskBBTree::DiskBBTree(const DiskBBTree& writer, const PageSource* src)
       page_size_(writer.page_size_),
       div_(writer.div_),
       bound_iters_(writer.bound_iters_),
-      header_child_bounds_(writer.header_child_bounds_),
       max_leaf_size_(writer.max_leaf_size_),
       kmeans_iters_(writer.kmeans_iters_),
       insert_seed_(writer.insert_seed_),
@@ -947,10 +944,10 @@ void DiskBBTree::DebugCheckInvariants() const {
 
 std::vector<uint32_t> DiskBBTree::RangeCandidates(std::span<const double> y,
                                                   double radius,
-                                                  SearchStats* stats) const {
+                                                  WorkCounters* stats) const {
   BREP_CHECK(y.size() == div_.dim());
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
+  WorkCounters local;
+  WorkCounters& st = stats != nullptr ? *stats : local;
   if (root_offset_ == kNoNode) return {};
 
   std::vector<double> grad_y(div_.dim());
@@ -982,10 +979,10 @@ std::vector<uint32_t> DiskBBTree::RangeCandidates(std::span<const double> y,
 
 std::vector<uint32_t> DiskBBTree::RangeSearchExact(std::span<const double> y,
                                                    double radius,
-                                                   SearchStats* stats) const {
+                                                   WorkCounters* stats) const {
   BREP_CHECK(y.size() == div_.dim());
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
+  WorkCounters local;
+  WorkCounters& st = stats != nullptr ? *stats : local;
   if (root_offset_ == kNoNode) return {};
 
   std::vector<double> grad_y(div_.dim());
@@ -1028,13 +1025,13 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(std::span<const double> y,
 template <typename Gate>
 std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
                                           const PointStore& store,
-                                          SearchStats* stats,
+                                          WorkCounters* stats,
                                           const Gate& gate) const {
   BREP_CHECK(y.size() == div_.dim());
   BREP_CHECK_MSG(store.dim() == div_.dim(),
                  "disk kNN evaluates in the tree's own space");
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
+  WorkCounters local;
+  WorkCounters& st = stats != nullptr ? *stats : local;
   if (root_offset_ == kNoNode) return {};
 
   std::vector<double> grad_y(div_.dim());
@@ -1044,23 +1041,17 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
   const simd::DivergenceScan scan(div_, y);
 
   TopK topk(k);
-  // In header-child-bounds mode the frontier carries each node's decoded
-  // header (read once, at push time, to compute its bound), so a popped
-  // node fetches only its tail -- no byte is read or decoded twice on the
-  // descent. The legacy mode reproduces the old double-read behaviour for
-  // the I/O regression test: full child reads at expansion (counted in
-  // nodes_visited as the materializations they are) and a fresh full read
-  // on pop.
+  // The frontier carries each node's decoded header (read once, at push
+  // time, to compute its bound), so a popped node fetches only its tail --
+  // no byte is read or decoded twice on the descent.
   struct Entry {
     double lb;
     uint64_t off;
-    DiskNode header;  // populated in header-child-bounds mode only
+    DiskNode header;
     bool operator>(const Entry& o) const { return lb > o.lb; }
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
-  frontier.push(Entry{0.0, root_offset_,
-                      header_child_bounds_ ? ReadNodeHeader(root_offset_)
-                                           : DiskNode{}});
+  frontier.push(Entry{0.0, root_offset_, ReadNodeHeader(root_offset_)});
 
   while (!frontier.empty()) {
     // Move rather than copy: the entry carries the node's center vector and
@@ -1069,13 +1060,8 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
     Entry e = std::move(const_cast<Entry&>(frontier.top()));
     frontier.pop();
     if (e.lb >= topk.Threshold()) continue;
-    DiskNode node;
-    if (header_child_bounds_) {
-      node = std::move(e.header);
-      ReadNodeTail(e.off, &node);
-    } else {
-      node = ReadNode(e.off);
-    }
+    DiskNode node = std::move(e.header);
+    ReadNodeTail(e.off, &node);
     ++st.nodes_visited;
     if (!gate(e.lb, node, topk.Threshold())) continue;
     if (node.is_leaf) {
@@ -1086,24 +1072,17 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
                         ++st.points_evaluated;
                       });
     } else {
-      DiskNode left = header_child_bounds_ ? ReadNodeHeader(node.left_off)
-                                           : ReadNode(node.left_off);
-      DiskNode right = header_child_bounds_ ? ReadNodeHeader(node.right_off)
-                                            : ReadNode(node.right_off);
-      if (!header_child_bounds_) st.nodes_visited += 2;
+      DiskNode left = ReadNodeHeader(node.left_off);
+      DiskNode right = ReadNodeHeader(node.right_off);
       const double lb_l =
           BallDistanceLowerBound(div_, left.ball, y, grad_y, bound_iters_);
       const double lb_r =
           BallDistanceLowerBound(div_, right.ball, y, grad_y, bound_iters_);
       if (lb_l < topk.Threshold()) {
-        frontier.push(Entry{lb_l, node.left_off,
-                            header_child_bounds_ ? std::move(left)
-                                                 : DiskNode{}});
+        frontier.push(Entry{lb_l, node.left_off, std::move(left)});
       }
       if (lb_r < topk.Threshold()) {
-        frontier.push(Entry{lb_r, node.right_off,
-                            header_child_bounds_ ? std::move(right)
-                                                 : DiskNode{}});
+        frontier.push(Entry{lb_r, node.right_off, std::move(right)});
       }
     }
   }
@@ -1112,14 +1091,14 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
 
 std::vector<Neighbor> DiskBBTree::KnnSearch(std::span<const double> y,
                                             size_t k, const PointStore& store,
-                                            SearchStats* stats) const {
+                                            WorkCounters* stats) const {
   return KnnImpl(y, k, store, stats,
                  [](double, const DiskNode&, double) { return true; });
 }
 
 std::vector<Neighbor> DiskBBTree::KnnSearchVariational(
     std::span<const double> y, size_t k, const PointStore& store,
-    double min_expected_hits, SearchStats* stats) const {
+    double min_expected_hits, WorkCounters* stats) const {
   auto gate = [min_expected_hits](double lb, const DiskNode& node,
                                   double threshold) {
     if (threshold == std::numeric_limits<double>::infinity()) return true;

@@ -80,11 +80,7 @@ class DiskBBTree {
 
   /// Serialize `tree` into pages of `pager`. The tree object itself may be
   /// discarded afterwards; `pool_pages` bounds the node cache.
-  /// `header_child_bounds` selects the descent I/O fix (see KnnSearch): the
-  /// legacy full-read mode exists only so the regression test can measure
-  /// the fix against the old behaviour.
-  DiskBBTree(Pager* pager, const BBTree& tree, size_t pool_pages = 128,
-             bool header_child_bounds = true);
+  DiskBBTree(Pager* pager, const BBTree& tree, size_t pool_pages = 128);
 
   /// Re-attach to a tree previously serialized on `pager` (described by
   /// `layout()` of the original). Performs no pager writes.
@@ -148,7 +144,7 @@ class DiskBBTree {
   /// node reads charged to the pager (via the pool).
   std::vector<uint32_t> RangeCandidates(std::span<const double> y,
                                         double radius,
-                                        SearchStats* stats = nullptr) const;
+                                        WorkCounters* stats = nullptr) const;
 
   /// Exact range search (Cayton NIPS'09, the algorithm the paper adopts for
   /// the filter step): leaves store the subspace vectors, so qualifying
@@ -156,7 +152,7 @@ class DiskBBTree {
   /// store. Returns exactly {x : D(x_sub, y) <= radius}.
   std::vector<uint32_t> RangeSearchExact(std::span<const double> y,
                                          double radius,
-                                         SearchStats* stats = nullptr) const;
+                                         WorkCounters* stats = nullptr) const;
 
   /// Exact branch-and-bound kNN ("BBT" baseline): node pruning uses this
   /// tree's balls, candidate points are fetched from `store` (which must
@@ -166,21 +162,19 @@ class DiskBBTree {
   /// Child lower bounds during the descent are computed from header-only
   /// node reads (the fixed-size prefix holding the ball), so a child's
   /// payload -- count*(4 + 8*dim) bytes for a leaf -- is deserialized once,
-  /// when the node is popped from the frontier, not twice. SearchStats::
-  /// nodes_visited counts full node materializations.
+  /// when the node is popped from the frontier, not twice: nodes_visited
+  /// equals the in-memory BBTree's and the full_node_reads() delta.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
                                   const PointStore& store,
-                                  SearchStats* stats = nullptr) const;
+                                  WorkCounters* stats = nullptr) const;
 
   /// "Var"-style approximate kNN (Coviello et al., ICML'13 behavioural
   /// reimplementation): identical traversal, but a node is explored only if
   /// the Gaussian model of its distance distribution predicts at least
   /// `min_expected_hits` points improving on the current k-th distance.
-  std::vector<Neighbor> KnnSearchVariational(std::span<const double> y,
-                                             size_t k,
-                                             const PointStore& store,
-                                             double min_expected_hits,
-                                             SearchStats* stats = nullptr) const;
+  std::vector<Neighbor> KnnSearchVariational(
+      std::span<const double> y, size_t k, const PointStore& store,
+      double min_expected_hits, WorkCounters* stats = nullptr) const;
 
  private:
   struct DiskNode {
@@ -301,7 +295,7 @@ class DiskBBTree {
 
   template <typename Gate>
   std::vector<Neighbor> KnnImpl(std::span<const double> y, size_t k,
-                                const PointStore& store, SearchStats* stats,
+                                const PointStore& store, WorkCounters* stats,
                                 const Gate& gate) const;
 
   /// Snapshot-clone constructor (see SnapshotClone).
@@ -312,7 +306,6 @@ class DiskBBTree {
   size_t page_size_;
   BregmanDivergence div_;
   int bound_iters_;
-  bool header_child_bounds_ = true;
   size_t max_leaf_size_ = 64;
   int kmeans_iters_ = 10;
   uint64_t insert_seed_ = 0;

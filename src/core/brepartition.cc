@@ -164,21 +164,6 @@ bool BrePartition::Contains(uint32_t id) const {
   return view.forest().Contains(id);
 }
 
-uint64_t BrePartition::total_inserts() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return inserts_;
-}
-
-uint64_t BrePartition::total_deletes() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return deletes_;
-}
-
-std::pair<uint64_t, uint64_t> BrePartition::update_totals() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return {inserts_, deletes_};
-}
-
 void BrePartition::DebugCheckInvariants() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   forest_->DebugCheckInvariants();
@@ -707,13 +692,9 @@ std::vector<Neighbor> BrePartition::FilterAndRefineOn(
   // Filter: a range query over every subspace tree, exact or
   // cluster-granularity as the forest's filter mode selects.
   Timer filter_timer;
-  SearchStats tree_stats;
   const std::vector<uint32_t> candidates =
-      forest.RangeCandidatesUnion(y_subs, radii, &tree_stats);
+      forest.RangeCandidatesUnion(y_subs, radii, &st);
   st.filter_ms += filter_timer.ElapsedMillis();
-  st.nodes_visited += tree_stats.nodes_visited;
-  st.leaves_visited += tree_stats.leaves_visited;
-  st.points_evaluated += tree_stats.points_evaluated;
   st.candidates += candidates.size();
 
   // Refine: fetch candidates (page-batched) and evaluate exactly.
@@ -787,8 +768,7 @@ std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
   if (k == 0) return {};
 
   Timer total_timer;
-  const IoStats io_before = pager_->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
+  const StorageDelta storage(*pager_, view.forest());
 
   // Bound phase: Algorithms 3 + 4.
   Timer bound_timer;
@@ -800,10 +780,7 @@ std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
 
   auto result = FilterAndRefineOn(view.forest(), y, y_subs, qb.radii, k, &st);
 
-  st.io_reads = (pager_->stats() - io_before).reads;
-  const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-  st.pool_hits = pool_after.hits - pool_before.hits;
-  st.pool_misses = pool_after.misses - pool_before.misses;
+  storage.Into(&st);
   st.total_ms = total_timer.ElapsedMillis();
 
   obs::QueryRecordContext ctx;

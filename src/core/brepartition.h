@@ -243,12 +243,11 @@ class BrePartition {
   /// Whether `id` is currently indexed.
   bool Contains(uint32_t id) const;
 
-  /// Lifetime update counters (under the update lock; exact).
-  uint64_t total_inserts() const;
-  uint64_t total_deletes() const;
-  /// Both counters under ONE lock acquisition: a consistent snapshot even
-  /// while a writer is streaming updates.
-  std::pair<uint64_t, uint64_t> update_totals() const;
+  /// Lifetime (inserts, deletes); caller holds writer_mutex(), so the pair
+  /// is consistent with anything else it reads under the same acquisition.
+  std::pair<uint64_t, uint64_t> UpdateTotalsLocked() const {
+    return {inserts_, deletes_};
+  }
 
   /// The narrow writer mutex: Insert/Delete/Save/the WAL facade serialize
   /// on it. Readers never acquire it -- queries pin a ReadView instead
@@ -387,6 +386,32 @@ class BrePartition {
   mutable obs::MetricRegistry registry_;
   obs::IndexMetrics im_ = obs::RegisterIndexMetrics(registry_);
   mutable obs::TraceLog trace_;
+};
+
+/// The storage counters of one call: pager reads and the forest's
+/// buffer-pool traffic since construction. Both are shared by every reader
+/// of the index, so the deltas are approximate when calls overlap.
+class StorageDelta {
+ public:
+  StorageDelta(const Pager& pager, const BBForest& forest)
+      : pager_(pager),
+        forest_(forest),
+        io_before_(pager.stats()),
+        pool_before_(forest.pool_traffic()) {}
+
+  /// Overwrite `w`'s io_reads, pool_hits and pool_misses with the deltas.
+  void Into(WorkCounters* w) const {
+    w->io_reads = (pager_.stats() - io_before_).reads;
+    const BBForest::PoolTraffic pool = forest_.pool_traffic();
+    w->pool_hits = pool.hits - pool_before_.hits;
+    w->pool_misses = pool.misses - pool_before_.misses;
+  }
+
+ private:
+  const Pager& pager_;
+  const BBForest& forest_;
+  IoStats io_before_;
+  BBForest::PoolTraffic pool_before_;
 };
 
 }  // namespace brep

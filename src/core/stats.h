@@ -1,38 +1,21 @@
 #ifndef BREP_CORE_STATS_H_
 #define BREP_CORE_STATS_H_
 
-#include <cstddef>
-#include <cstdint>
+#include "common/work_counters.h"
 
 namespace brep {
 
 /// Per-query measurements reported by the search engines and consumed by the
 /// benchmark harness (the evaluation's two headline metrics are `io_reads`
-/// and wall-clock time).
-struct QueryStats {
-  /// Pager page reads issued during the query (index + data).
-  uint64_t io_reads = 0;
-  /// Candidate points refined.
-  size_t candidates = 0;
-  /// Index nodes visited across all subspace trees.
-  size_t nodes_visited = 0;
-  /// Leaves visited / leaf points bound-checked across all subspace trees.
-  size_t leaves_visited = 0;
-  size_t points_evaluated = 0;
-  /// Buffer-pool traffic during the query (delta over the per-tree pools;
-  /// approximate when queries run concurrently, like io_reads).
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
+/// and wall-clock time). A batch's QueryStats (QueryEngine::KnnSearchBatch)
+/// sums the work of its queries, measures the storage counters once around
+/// the whole batch, and holds the batch wall clock in `total_ms`.
+struct QueryStats : WorkCounters, Spans {
   /// Total searching bound (sum of per-subspace radii; diagnostic).
   double radius_total = 0.0;
   /// Tightening coefficient c applied by the approximate extension
   /// (1.0 for exact searches).
   double approx_coefficient = 1.0;
-  /// Wall-clock breakdown in milliseconds.
-  double bound_ms = 0.0;   // query transform + QBDetermine
-  double filter_ms = 0.0;  // range queries over the BB-forest
-  double refine_ms = 0.0;  // candidate fetch + exact evaluation
-  double total_ms = 0.0;
 };
 
 }  // namespace brep

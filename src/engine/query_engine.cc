@@ -24,15 +24,15 @@ QueryEngine::QueryEngine(const BrePartition& index,
     : index_(&index),
       options_(options),
       pool_(ResolveThreads(options.num_threads) - 1),
-      agg_(pool_.num_lanes()) {}
+      lanes_(pool_.num_lanes()) {}
 
 std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
     const BBForest& forest, std::span<const std::vector<double>> y_subs,
     std::span<const double> radii, bool parallel, bool sorted,
-    SearchStats* agg) const {
+    WorkCounters* agg) const {
   const size_t m_trees = forest.num_partitions();
   std::vector<std::vector<uint32_t>> per_tree(m_trees);
-  std::vector<SearchStats> per_stats(m_trees);
+  std::vector<WorkCounters> per_stats(m_trees);
 
   auto run_tree = [&](size_t m) {
     const DiskBBTree& tree = forest.tree(m);
@@ -50,18 +50,13 @@ std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
     for (size_t m = 0; m < m_trees; ++m) run_tree(m);
   }
 
-  for (const SearchStats& s : per_stats) {
-    agg->nodes_visited += s.nodes_visited;
-    agg->leaves_visited += s.leaves_visited;
-    agg->points_evaluated += s.points_evaluated;
-  }
+  for (const WorkCounters& s : per_stats) *agg += s;
   return per_tree;
 }
 
 std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
                                           std::span<const double> y, size_t k,
-                                          size_t lane,
-                                          EngineLaneStats* lane_slot,
+                                          size_t lane, WorkCounters* lane_work,
                                           bool parallel_filter,
                                           QueryStats* qstats) const {
   // Every query gets full per-query stats -- either the caller's sink or a
@@ -70,8 +65,7 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
   QueryStats local;
   QueryStats& q = qstats != nullptr ? *qstats : local;
   Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
+  const StorageDelta storage(*index_->pager(), view.forest());
 
   // Bound phase (Algorithms 3 + 4).
   Timer bound_timer;
@@ -84,10 +78,9 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
   // Filter: per-subspace range queries, union of candidates (Theorem 3:
   // a true neighbor's subspace divergences cannot all exceed the radii).
   Timer filter_timer;
-  SearchStats fstats;
   const auto per_tree = FilterAllTrees(view.forest(), y_subs, qb.radii,
                                        parallel_filter,
-                                       /*sorted=*/false, &fstats);
+                                       /*sorted=*/false, &q);
   std::vector<uint32_t> candidates;
   {
     size_t total = 0;
@@ -101,9 +94,6 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
                      candidates.end());
   }
   q.filter_ms += filter_timer.ElapsedMillis();
-  q.nodes_visited += fstats.nodes_visited;
-  q.leaves_visited += fstats.leaves_visited;
-  q.points_evaluated += fstats.points_evaluated;
   q.candidates += candidates.size();
 
   // Refine: fetch candidates page-batched and evaluate exactly.
@@ -116,20 +106,10 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
       });
   q.refine_ms += refine_timer.ElapsedMillis();
 
-  if (lane_slot != nullptr) {
-    ++lane_slot->queries;
-    lane_slot->candidates += candidates.size();
-    lane_slot->AddSearch(fstats);
-  }
-
   auto result = topk.SortedResults();
-  // I/O and pool deltas are approximate when queries overlap (shared
-  // counters, see the class comment); the logical counters above are not.
-  q.io_reads = (index_->pager()->stats() - io_before).reads;
-  const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-  q.pool_hits = pool_after.hits - pool_before.hits;
-  q.pool_misses = pool_after.misses - pool_before.misses;
+  storage.Into(&q);
   q.total_ms = total_timer.ElapsedMillis();
+  if (lane_work != nullptr) *lane_work += q;
   obs::QueryRecordContext ctx;
   ctx.op = 'k';
   ctx.k = k;
@@ -141,24 +121,22 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
 std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
                                             std::span<const double> y,
                                             double radius, size_t lane,
-                                            EngineLaneStats* lane_slot,
+                                            WorkCounters* lane_work,
                                             bool parallel_filter,
                                             QueryStats* qstats) const {
   QueryStats local;
   QueryStats& q = qstats != nullptr ? *qstats : local;
   Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
+  const StorageDelta storage(*index_->pager(), view.forest());
 
   const size_t m_trees = view.forest().num_partitions();
   const auto y_subs = index_->GatherQuery(y);
   const std::vector<double> radii(m_trees, radius);
 
   Timer filter_timer;
-  SearchStats fstats;
   const auto per_tree = FilterAllTrees(view.forest(), y_subs, radii,
                                        parallel_filter,
-                                       /*sorted=*/true, &fstats);
+                                       /*sorted=*/true, &q);
   // Intersection across subspaces: D decomposes into non-negative terms,
   // so D(x, y) <= radius forces D_m(x_m, y_m) <= radius for every m.
   std::vector<uint32_t> candidates = per_tree[0];
@@ -171,9 +149,6 @@ std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
     candidates.swap(next);
   }
   q.filter_ms += filter_timer.ElapsedMillis();
-  q.nodes_visited += fstats.nodes_visited;
-  q.leaves_visited += fstats.leaves_visited;
-  q.points_evaluated += fstats.points_evaluated;
   q.candidates += candidates.size();
   q.radius_total = radius;
 
@@ -187,17 +162,9 @@ std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
   std::sort(result.begin(), result.end());
   q.refine_ms += refine_timer.ElapsedMillis();
 
-  if (lane_slot != nullptr) {
-    ++lane_slot->queries;
-    lane_slot->candidates += candidates.size();
-    lane_slot->AddSearch(fstats);
-  }
-
-  q.io_reads = (index_->pager()->stats() - io_before).reads;
-  const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-  q.pool_hits = pool_after.hits - pool_before.hits;
-  q.pool_misses = pool_after.misses - pool_before.misses;
+  storage.Into(&q);
   q.total_ms = total_timer.ElapsedMillis();
+  if (lane_work != nullptr) *lane_work += q;
   obs::QueryRecordContext ctx;
   ctx.op = 'r';
   ctx.radius = radius;
@@ -218,18 +185,10 @@ std::vector<Neighbor> QueryEngine::KnnSearch(std::span<const double> y,
   // between the caller's validation and the pin (benign race, not an
   // abort).
   k = std::min(k, view.num_points());
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
+  if (stats != nullptr) *stats = QueryStats{};
   if (k == 0) return {};
-
-  Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  auto result = KnnOne(view, y, k, pool_.num_workers(), /*lane_slot=*/nullptr,
-                       options_.parallel_filter, &st);
-  st.io_reads = (index_->pager()->stats() - io_before).reads;
-  st.total_ms = total_timer.ElapsedMillis();
-  return result;
+  return KnnOne(view, y, k, pool_.num_workers(), /*lane_work=*/nullptr,
+                options_.parallel_filter, stats);
 }
 
 std::vector<uint32_t> QueryEngine::RangeSearch(std::span<const double> y,
@@ -239,21 +198,13 @@ std::vector<uint32_t> QueryEngine::RangeSearch(std::span<const double> y,
   const BrePartition::ReadView view = index_->OpenReadView();
   BREP_CHECK(y.size() == index_->divergence().dim());
   BREP_CHECK(radius >= 0.0);
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
-
-  Timer total_timer;
-  const IoStats io_before = index_->pager()->stats();
-  auto result = RangeOne(view, y, radius, pool_.num_workers(),
-                         /*lane_slot=*/nullptr, options_.parallel_filter, &st);
-  st.io_reads = (index_->pager()->stats() - io_before).reads;
-  st.total_ms = total_timer.ElapsedMillis();
-  return result;
+  if (stats != nullptr) *stats = QueryStats{};
+  return RangeOne(view, y, radius, pool_.num_workers(), /*lane_work=*/nullptr,
+                  options_.parallel_filter, stats);
 }
 
 std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
-    const Matrix& queries, size_t k, EngineStats* stats) const {
+    const Matrix& queries, size_t k, QueryStats* stats) const {
   // One pinned version for the WHOLE batch: every query observes the same
   // published state (prefix consistency against a concurrent writer).
   const BrePartition::ReadView view = index_->OpenReadView();
@@ -262,68 +213,59 @@ std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
   k = std::min(k, view.num_points());  // benign-race clamp, as above
   const size_t n = queries.rows();
   std::vector<std::vector<Neighbor>> results(n);
-  if (k == 0) {
-    if (stats != nullptr) *stats = EngineStats{};
-    return results;
-  }
+  if (stats != nullptr) *stats = QueryStats{};
+  if (k == 0) return results;
 
-  agg_.Reset();
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
+  std::fill(lanes_.begin(), lanes_.end(), LaneWork{});
+  const StorageDelta storage(*index_->pager(), view.forest());
   Timer wall;
   if (n == 1) {
     // A lone query still benefits from per-subspace fan-out.
     results[0] = KnnOne(view, queries.Row(0), k, pool_.num_workers(),
-                        &agg_.slot(pool_.num_workers()),
+                        &lanes_[pool_.num_workers()].work,
                         options_.parallel_filter, nullptr);
   } else {
     pool_.ParallelFor(n, [&](size_t qi, size_t lane) {
-      results[qi] = KnnOne(view, queries.Row(qi), k, lane, &agg_.slot(lane),
+      results[qi] = KnnOne(view, queries.Row(qi), k, lane, &lanes_[lane].work,
                            /*parallel_filter=*/false, nullptr);
     });
   }
   if (stats != nullptr) {
-    *stats = agg_.Merge();
-    stats->io_reads = (index_->pager()->stats() - io_before).reads;
-    const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-    stats->pool_hits = pool_after.hits - pool_before.hits;
-    stats->pool_misses = pool_after.misses - pool_before.misses;
-    stats->wall_ms = wall.ElapsedMillis();
+    for (const LaneWork& l : lanes_) *stats += l.work;
+    storage.Into(stats);
+    stats->total_ms = wall.ElapsedMillis();
   }
   return results;
 }
 
 std::vector<std::vector<uint32_t>> QueryEngine::RangeSearchBatch(
-    const Matrix& queries, double radius, EngineStats* stats) const {
+    const Matrix& queries, double radius, QueryStats* stats) const {
   // One pinned version for the WHOLE batch (prefix consistency).
   const BrePartition::ReadView view = index_->OpenReadView();
   BREP_CHECK(queries.cols() == index_->divergence().dim());
   BREP_CHECK(radius >= 0.0);
   const size_t n = queries.rows();
   std::vector<std::vector<uint32_t>> results(n);
+  if (stats != nullptr) *stats = QueryStats{};
 
-  agg_.Reset();
-  const IoStats io_before = index_->pager()->stats();
-  const BBForest::PoolTraffic pool_before = view.forest().pool_traffic();
+  std::fill(lanes_.begin(), lanes_.end(), LaneWork{});
+  const StorageDelta storage(*index_->pager(), view.forest());
   Timer wall;
   if (n == 1) {
     results[0] = RangeOne(view, queries.Row(0), radius, pool_.num_workers(),
-                          &agg_.slot(pool_.num_workers()),
+                          &lanes_[pool_.num_workers()].work,
                           options_.parallel_filter, nullptr);
   } else {
     pool_.ParallelFor(n, [&](size_t qi, size_t lane) {
       results[qi] = RangeOne(view, queries.Row(qi), radius, lane,
-                             &agg_.slot(lane),
+                             &lanes_[lane].work,
                              /*parallel_filter=*/false, nullptr);
     });
   }
   if (stats != nullptr) {
-    *stats = agg_.Merge();
-    stats->io_reads = (index_->pager()->stats() - io_before).reads;
-    const BBForest::PoolTraffic pool_after = view.forest().pool_traffic();
-    stats->pool_hits = pool_after.hits - pool_before.hits;
-    stats->pool_misses = pool_after.misses - pool_before.misses;
-    stats->wall_ms = wall.ElapsedMillis();
+    for (const LaneWork& l : lanes_) *stats += l.work;
+    storage.Into(stats);
+    stats->total_ms = wall.ElapsedMillis();
   }
   return results;
 }

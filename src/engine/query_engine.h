@@ -5,12 +5,11 @@
 #include <span>
 #include <vector>
 
-#include "bbtree/bbtree.h"
 #include "common/top_k.h"
+#include "common/work_counters.h"
 #include "core/brepartition.h"
 #include "core/stats.h"
 #include "dataset/matrix.h"
-#include "engine/engine_stats.h"
 #include "engine/thread_pool.h"
 
 namespace brep {
@@ -52,13 +51,13 @@ struct QueryEngineOptions {
 /// them).
 ///
 /// Thread-safety: concurrent calls into one QueryEngine are not supported
-/// (the engine parallelizes internally and reuses per-lane stats slots);
+/// (the engine parallelizes internally and reuses per-lane work slots);
 /// the underlying index IS safe to share between several engines because
 /// DiskBBTree/BufferPool/Pager reads are re-entrant. Caveat when sharing:
-/// `io_reads` in QueryStats/EngineStats is a delta over the index's single
-/// Pager counter, so engines running concurrently over one index count
-/// each other's reads -- results stay exact, but attribute per-engine I/O
-/// only when one engine is active at a time.
+/// `io_reads` and the pool counters in QueryStats are deltas over counters
+/// shared by the whole index, so engines running concurrently over one
+/// index count each other's reads -- results stay exact, but attribute
+/// per-engine I/O only when one engine is active at a time.
 class QueryEngine {
  public:
   /// `index` must outlive the engine.
@@ -82,10 +81,13 @@ class QueryEngine {
                                   QueryStats* stats = nullptr) const;
 
   /// Exact kNN for every row of `queries`, parallel across queries.
-  /// `stats`, when supplied, receives the batch aggregate (wall clock,
-  /// QPS, summed logical work, pager I/O delta).
+  /// `stats`, when supplied, receives the batch aggregate: the queries'
+  /// work summed over the lanes, the storage counters measured once around
+  /// the batch, and the batch wall clock in `total_ms`. The logical
+  /// counters are identical for every thread count; the storage counters
+  /// are not, because the lanes share the node caches.
   std::vector<std::vector<Neighbor>> KnnSearchBatch(
-      const Matrix& queries, size_t k, EngineStats* stats = nullptr) const;
+      const Matrix& queries, size_t k, QueryStats* stats = nullptr) const;
 
   /// Exact range query: ids with D(x, y) <= radius, ascending. Because the
   /// divergence decomposes as a sum of non-negative per-subspace terms,
@@ -98,9 +100,15 @@ class QueryEngine {
   /// Range query for every row of `queries`, parallel across queries.
   std::vector<std::vector<uint32_t>> RangeSearchBatch(
       const Matrix& queries, double radius,
-      EngineStats* stats = nullptr) const;
+      QueryStats* stats = nullptr) const;
 
  private:
+  /// One lane's summed work, padded to a cache line so two lanes never
+  /// write the same line (no locks, no false sharing on the hot path).
+  struct alignas(64) LaneWork {
+    WorkCounters work;
+  };
+
   /// Per-subspace filter over all M trees; returns the per-tree id lists,
   /// each sorted ascending when `sorted` is set (the range path's
   /// set_intersection needs that; the kNN union re-sorts anyway). Search
@@ -108,29 +116,28 @@ class QueryEngine {
   std::vector<std::vector<uint32_t>> FilterAllTrees(
       const BBForest& forest, std::span<const std::vector<double>> y_subs,
       std::span<const double> radii, bool parallel, bool sorted,
-      SearchStats* agg) const;
+      WorkCounters* agg) const;
 
-  /// `lane` stripes the atomic metric recorders (always safe to share);
-  /// `lane_slot` is the batch aggregator's plain-counter slot and must be
-  /// non-null ONLY when the caller owns that lane exclusively (batch
-  /// execution). Single-call entry points pass nullptr: their results are
-  /// fully reported through `qstats` + metrics, and concurrent callers
-  /// would otherwise race on the shared slot.
+  /// One query's full pipeline, recorded into the registry and the trace.
+  /// `qstats` (zeroed by the caller) receives its measurements. `lane`
+  /// stripes the atomic metric recorders (always safe to share);
+  /// `lane_work` is a batch lane's slot and must be non-null ONLY when the
+  /// caller owns that lane exclusively (batch execution).
   std::vector<Neighbor> KnnOne(const BrePartition::ReadView& view,
                                std::span<const double> y, size_t k,
-                               size_t lane, EngineLaneStats* lane_slot,
+                               size_t lane, WorkCounters* lane_work,
                                bool parallel_filter,
                                QueryStats* qstats) const;
   std::vector<uint32_t> RangeOne(const BrePartition::ReadView& view,
                                  std::span<const double> y, double radius,
-                                 size_t lane, EngineLaneStats* lane_slot,
+                                 size_t lane, WorkCounters* lane_work,
                                  bool parallel_filter,
                                  QueryStats* qstats) const;
 
   const BrePartition* index_;
   QueryEngineOptions options_;
   mutable ThreadPool pool_;
-  mutable EngineStatsAggregator agg_;
+  mutable std::vector<LaneWork> lanes_;
 };
 
 }  // namespace brep

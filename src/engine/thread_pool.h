@@ -35,7 +35,8 @@ class ThreadPool {
 
   /// Execution lanes visible to ParallelFor bodies: every worker plus the
   /// calling thread. Lane indices identify per-thread state slots (e.g.
-  /// EngineStatsAggregator) that can be written without locks.
+  /// the QueryEngine's per-lane work counters) that can be written without
+  /// locks.
   size_t num_lanes() const { return workers_.size() + 1; }
 
   /// Enqueue a task; it runs on some worker, which passes its lane index

@@ -251,7 +251,7 @@ JoinResult SingleTreeKnnJoin(const Matrix& r, const Matrix& s,
   Timer descent_timer;
   out.neighbors.resize(r.rows());
   for (size_t i = 0; i < r.rows(); ++i) {
-    SearchStats ss;
+    WorkCounters ss;
     std::vector<Neighbor> nn = s_tree.KnnSearch(r.Row(i), k, &ss);
     // s_ids is strictly increasing, so the local (distance, id) order --
     // and with it the tie-break -- survives the rewrite.

@@ -53,21 +53,12 @@ void RecordQuery(const IndexMetrics& im, TraceLog& trace,
 
   if (qs.total_ms < trace.threshold_ms()) return;  // cheap early out
   QueryTraceEntry entry;
+  static_cast<WorkCounters&>(entry) = qs;
+  static_cast<Spans&>(entry) = qs;
   entry.op = ctx.op;
   entry.k = ctx.k;
   entry.radius = ctx.radius;
   entry.results = ctx.results;
-  entry.bound_ms = qs.bound_ms;
-  entry.filter_ms = qs.filter_ms;
-  entry.refine_ms = qs.refine_ms;
-  entry.total_ms = qs.total_ms;
-  entry.io_reads = qs.io_reads;
-  entry.candidates = qs.candidates;
-  entry.nodes_visited = qs.nodes_visited;
-  entry.leaves_visited = qs.leaves_visited;
-  entry.points_evaluated = qs.points_evaluated;
-  entry.pool_hits = qs.pool_hits;
-  entry.pool_misses = qs.pool_misses;
   trace.Record(entry);
 }
 

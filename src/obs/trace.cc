@@ -64,9 +64,10 @@ std::string FormatQueryTrace(const QueryTraceEntry& e) {
   } else if (e.op == 'j') {
     std::snprintf(buf, sizeof(buf),
                   "trace #%llu: knn-join(k=%zu) over %zu rows in %.3f ms "
-                  "(node pairs: %zu visited, %llu pruned)\n",
+                  "(node pairs: %llu visited, %llu pruned)\n",
                   (unsigned long long)e.seq, e.k, e.results, e.total_ms,
-                  e.nodes_visited, (unsigned long long)e.node_pairs_pruned);
+                  (unsigned long long)e.nodes_visited,
+                  (unsigned long long)e.node_pairs_pruned);
   } else if (e.op == 'r') {
     std::snprintf(buf, sizeof(buf),
                   "trace #%llu: range(radius=%g) -> %zu results in %.3f ms\n",
@@ -88,11 +89,14 @@ std::string FormatQueryTrace(const QueryTraceEntry& e) {
 
   std::snprintf(buf, sizeof(buf),
                 "  work: io_reads=%llu pool=%llu/%llu hit/miss "
-                "nodes=%zu leaves=%zu candidates=%zu evaluated=%zu\n",
+                "nodes=%llu leaves=%llu candidates=%llu evaluated=%llu\n",
                 (unsigned long long)e.io_reads,
                 (unsigned long long)e.pool_hits,
-                (unsigned long long)e.pool_misses, e.nodes_visited,
-                e.leaves_visited, e.candidates, e.points_evaluated);
+                (unsigned long long)e.pool_misses,
+                (unsigned long long)e.nodes_visited,
+                (unsigned long long)e.leaves_visited,
+                (unsigned long long)e.candidates,
+                (unsigned long long)e.points_evaluated);
   out.append(buf);
   return out;
 }

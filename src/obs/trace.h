@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/work_counters.h"
+
 /// \file
 /// Per-operation trace spans and the ring-buffered slow-query log.
 ///
@@ -24,8 +26,10 @@
 
 namespace brep::obs {
 
-/// One traced call's lifecycle.
-struct QueryTraceEntry {
+/// One traced call's lifecycle: its work (WorkCounters; a join's mapping is
+/// documented there) and its spans (Spans), the same values the call
+/// reports through its own stats.
+struct QueryTraceEntry : WorkCounters, Spans {
   /// Assigned by the TraceLog in admission order (1-based, lifetime).
   uint64_t seq = 0;
   /// 'k' kNN, 'r' range, 'i' insert, 'd' delete, 'j' kNN-join.
@@ -35,24 +39,10 @@ struct QueryTraceEntry {
   size_t results = 0;      // neighbors / matches returned (1 for updates;
                            // R rows for joins)
 
-  /// Span breakdown, milliseconds.
-  double bound_ms = 0.0;
-  double filter_ms = 0.0;
-  double refine_ms = 0.0;
+  /// Write spans, milliseconds.
   double wal_append_ms = 0.0;  // updates under a WAL: encode + pwrite
   double wal_fsync_ms = 0.0;   // updates in kAlways mode: fsync wait
-  double total_ms = 0.0;
 
-  /// Work counters. For joins ('j'), nodes_visited / leaves_visited /
-  /// points_evaluated hold the dual-tree node pairs visited, leaf blocks
-  /// scanned and pair distances evaluated.
-  uint64_t io_reads = 0;
-  size_t candidates = 0;
-  size_t nodes_visited = 0;
-  size_t leaves_visited = 0;
-  size_t points_evaluated = 0;
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
   /// Joins only: node pairs cut by the pair lower bound.
   uint64_t node_pairs_pruned = 0;
 };

@@ -45,16 +45,10 @@ IndexOptions ShardOptions(const ShardedIndexOptions& options, size_t shard) {
 /// FACADE wrapper -- the shard's own wrapper counted them for the shard's
 /// registry already.
 void AddShardLanes(SearchIndex::Stats* dst, const SearchIndex::Stats& s) {
+  static_cast<WorkCounters&>(*dst) += s;
   dst->wal_appends += s.wal_appends;
   dst->wal_fsyncs += s.wal_fsyncs;
   dst->wal_replayed += s.wal_replayed;
-  dst->io_reads += s.io_reads;
-  dst->candidates += s.candidates;
-  dst->nodes_visited += s.nodes_visited;
-  dst->leaves_visited += s.leaves_visited;
-  dst->points_evaluated += s.points_evaluated;
-  dst->pool_hits += s.pool_hits;
-  dst->pool_misses += s.pool_misses;
   dst->radius_total += s.radius_total;
 }
 

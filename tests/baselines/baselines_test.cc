@@ -104,7 +104,7 @@ TEST(VarBaselineTest, HarderGateDoesLessWork) {
     const VarBaseline var(&pager, data, div, config);
     size_t total = 0;
     for (size_t q = 0; q < queries.rows(); ++q) {
-      SearchStats stats;
+      WorkCounters stats;
       var.KnnSearch(queries.Row(q), 10, &stats);
       total += stats.points_evaluated;
     }

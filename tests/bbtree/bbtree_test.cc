@@ -128,7 +128,7 @@ TEST_F(BBTreeTest, BallsContainTheirPoints) {
 
 TEST_F(BBTreeTest, PruningActuallyHappens) {
   const BBTree tree(data_, div_, config_);
-  SearchStats stats;
+  WorkCounters stats;
   tree.KnnSearch(data_.Row(0), 1, &stats);
   EXPECT_LT(stats.points_evaluated, data_.rows());
   EXPECT_GT(stats.nodes_visited, 0u);

@@ -68,7 +68,7 @@ TEST_P(DiskBBTreeTest, RangeCandidatesMatchInMemoryTree) {
 /// points).
 struct ReferenceRange {
   std::vector<uint32_t> exact, candidates;
-  SearchStats stats;
+  WorkCounters stats;
 };
 
 ReferenceRange ReferenceRangeDescent(const BBTree& tree,
@@ -111,9 +111,9 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
   const LinearScan scan(data_, div_);
 
   auto expect_same = [](const std::vector<uint32_t>& got,
-                        const SearchStats& got_stats,
+                        const WorkCounters& got_stats,
                         const std::vector<uint32_t>& want,
-                        const SearchStats& want_stats, const char* method) {
+                        const WorkCounters& want_stats, const char* method) {
     EXPECT_EQ(got, want) << method;
     EXPECT_EQ(got_stats.nodes_visited, want_stats.nodes_visited) << method;
     EXPECT_EQ(got_stats.leaves_visited, want_stats.leaves_visited) << method;
@@ -130,10 +130,10 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
       SCOPED_TRACE("query " + std::to_string(q) + " radius " +
                    std::to_string(radius));
       const ReferenceRange ref = ReferenceRangeDescent(mem_tree, y, radius);
-      SearchStats cand_stats = ref.stats;
+      WorkCounters cand_stats = ref.stats;
       cand_stats.points_evaluated = 0;
 
-      SearchStats st;
+      WorkCounters st;
       auto got = mem_tree.RangeSearch(y, radius, &st);
       expect_same(got, st, ref.exact, ref.stats, "BBTree::RangeSearch");
       st = {};
@@ -197,13 +197,13 @@ TEST(DiskBBTreeIoTest, LargerPoolReducesNodeReads) {
 }
 
 TEST(DiskBBTreeIoTest, HeaderOnlyChildBoundsStrictlyReduceIo) {
-  // Regression for the descent double-read: the old KnnImpl fully
+  // Regression for the descent double-read: an older KnnImpl fully
   // deserialized both children at every interior expansion (including leaf
   // payloads of count*(4 + 8*dim) bytes) just to compute ball lower
-  // bounds, then read the popped child again. The fix computes child
-  // bounds from the fixed-size header prefix. With a tiny buffer pool (so
-  // repeat reads are actually charged), page reads and full-node
-  // materializations must strictly drop while results stay byte-identical.
+  // bounds, then read the popped child again. Child bounds now come from
+  // the fixed-size header prefix, so every query must materialize exactly
+  // the nodes it visits -- the same nodes, and the same answer, as the
+  // in-memory tree. A one-page pool makes every repeat read a real one.
   const size_t kDim = 16;
   const Matrix data = testing::MakeDataFor("squared_l2", 800, kDim);
   const BregmanDivergence div = MakeDivergence("squared_l2", kDim);
@@ -212,46 +212,25 @@ TEST(DiskBBTreeIoTest, HeaderOnlyChildBoundsStrictlyReduceIo) {
   const BBTree mem_tree(data, div, config);
   const Matrix queries = testing::MakeQueriesFor("squared_l2", data, 10);
 
-  struct Run {
-    uint64_t io_reads = 0;
-    size_t nodes_visited = 0;
-    uint64_t full_node_reads = 0;
-    std::vector<std::vector<Neighbor>> results;
-  };
-  auto run = [&](bool header_child_bounds) {
-    MemPager pager(1024);
-    const PointStore store(&pager, data, mem_tree.LeafOrder());
-    const DiskBBTree disk_tree(&pager, mem_tree, /*pool_pages=*/1,
-                               header_child_bounds);
-    pager.ResetStats();
+  MemPager pager(1024);
+  const PointStore store(&pager, data, mem_tree.LeafOrder());
+  const DiskBBTree disk_tree(&pager, mem_tree, /*pool_pages=*/1);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    WorkCounters mem_stats, disk_stats;
+    const auto want = mem_tree.KnnSearch(queries.Row(q), 10, &mem_stats);
     const uint64_t full_before = disk_tree.full_node_reads();
-    Run r;
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      SearchStats stats;
-      r.results.push_back(disk_tree.KnnSearch(queries.Row(q), 10, store,
-                                              &stats));
-      r.nodes_visited += stats.nodes_visited;
-    }
-    r.io_reads = pager.stats().reads;
-    r.full_node_reads = disk_tree.full_node_reads() - full_before;
-    return r;
-  };
-
-  const Run legacy = run(false);
-  const Run fixed = run(true);
-  EXPECT_LT(fixed.io_reads, legacy.io_reads);
-  EXPECT_LT(fixed.nodes_visited, legacy.nodes_visited);
-  // full_node_reads is counted inside the read path itself, so it carries
-  // signal even if the traversal's own accounting were wrong: the fix must
-  // deserialize strictly fewer node payloads for the same queries.
-  EXPECT_LT(fixed.full_node_reads, legacy.full_node_reads);
-  EXPECT_EQ(fixed.full_node_reads, fixed.nodes_visited);
-  ASSERT_EQ(fixed.results.size(), legacy.results.size());
-  for (size_t q = 0; q < fixed.results.size(); ++q) {
-    ASSERT_EQ(fixed.results[q].size(), legacy.results[q].size());
-    for (size_t i = 0; i < fixed.results[q].size(); ++i) {
-      EXPECT_EQ(fixed.results[q][i].id, legacy.results[q][i].id);
-      EXPECT_EQ(fixed.results[q][i].distance, legacy.results[q][i].distance);
+    const auto got =
+        disk_tree.KnnSearch(queries.Row(q), 10, store, &disk_stats);
+    // full_node_reads is counted inside the read path itself, so it carries
+    // signal even if the traversal's own accounting were wrong.
+    EXPECT_EQ(disk_tree.full_node_reads() - full_before,
+              disk_stats.nodes_visited);
+    EXPECT_EQ(disk_stats.nodes_visited, mem_stats.nodes_visited);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(got[i].distance, want[i].distance);
     }
   }
 }
@@ -269,7 +248,7 @@ TEST(DiskBBTreeIoTest, VariationalSearchVisitsNoMoreThanExact) {
   const Matrix queries = testing::MakeQueriesFor("squared_l2", data, 10);
   size_t exact_points = 0, var_points = 0;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    SearchStats exact_stats, var_stats;
+    WorkCounters exact_stats, var_stats;
     disk_tree.KnnSearch(queries.Row(q), 10, store, &exact_stats);
     disk_tree.KnnSearchVariational(queries.Row(q), 10, store, 2.0,
                                    &var_stats);

@@ -1,13 +1,24 @@
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/index.h"
+#include "common/work_counters.h"
 #include "obs/index_metrics.h"
 #include "test_util.h"
 
 namespace brep {
+
+// Readable EXPECT_EQ failures for WorkCounters (found by ADL).
+static void PrintTo(const WorkCounters& w, std::ostream* os) {
+  *os << "{io_reads " << w.io_reads << ", candidates " << w.candidates
+      << ", nodes " << w.nodes_visited << ", leaves " << w.leaves_visited
+      << ", points " << w.points_evaluated << ", pool " << w.pool_hits << "/"
+      << w.pool_misses << "}";
+}
+
 namespace {
 
 /// The observability bar from the ISSUE: logical work counters are
@@ -127,6 +138,37 @@ TEST_F(ObsDeterminismTest, CountersEqualOracleDerivedWork) {
             oracle.io_reads);
   // And the trace log saw every one of them (threshold 0).
   EXPECT_EQ(index.SlowQueries().size(), queries_.rows());
+}
+
+TEST_F(ObsDeterminismTest, PerCallStatsEqualTheirTraceEntries) {
+  // The trace entry is a copy of the work the call reports, not a second
+  // measurement: every counter agrees exactly, storage deltas included
+  // (threshold 0, one call at a time).
+  const Index index = BuildIndex();
+  const auto work = [](const WorkCounters& w) { return w; };
+  SearchIndex::Stats st;
+
+  ASSERT_TRUE(index.Knn(queries_.Row(0), kK, &st).ok());
+  EXPECT_EQ(work(st), work(index.SlowQueries().back())) << "knn";
+
+  ASSERT_TRUE(index.Range(queries_.Row(1), radius_, &st).ok());
+  EXPECT_EQ(work(st), work(index.SlowQueries().back())) << "range";
+
+  ASSERT_TRUE(index.KnnJoin(queries_, kK, {}, &st).ok());
+  const obs::QueryTraceEntry join = index.SlowQueries().back();
+  EXPECT_EQ(join.op, 'j');
+  EXPECT_EQ(work(st), work(join)) << "join";
+
+  // A batch reports the sum of its queries' entries.
+  auto parallel = index.Parallel(1);
+  ASSERT_TRUE(parallel.ok());
+  const size_t before = index.SlowQueries().size();
+  ASSERT_TRUE(parallel->KnnBatch(queries_, kK, &st).ok());
+  const auto entries = index.SlowQueries();
+  ASSERT_EQ(entries.size(), before + queries_.rows());
+  WorkCounters sum;
+  for (size_t i = before; i < entries.size(); ++i) sum += entries[i];
+  EXPECT_EQ(work(st), sum) << "batch";
 }
 
 TEST_F(ObsDeterminismTest, TracedEntriesCarryTheSpanBreakdown) {

@@ -96,13 +96,11 @@ TEST_F(QueryEngineTest, SingleQueryParallelFilterMatchesSequential) {
 }
 
 TEST_F(QueryEngineTest, LogicalStatsAreDeterministicAcrossThreadCounts) {
-  EngineStats seq_stats;
-  EngineStats par_stats;
+  QueryStats seq_stats;
+  QueryStats par_stats;
   MakeEngine(1).KnnSearchBatch(queries_, kK, &seq_stats);
   MakeEngine(4).KnnSearchBatch(queries_, kK, &par_stats);
 
-  EXPECT_EQ(seq_stats.queries, queries_.rows());
-  EXPECT_EQ(par_stats.queries, seq_stats.queries);
   EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
   EXPECT_EQ(par_stats.nodes_visited, seq_stats.nodes_visited);
   EXPECT_EQ(par_stats.leaves_visited, seq_stats.leaves_visited);
@@ -110,8 +108,7 @@ TEST_F(QueryEngineTest, LogicalStatsAreDeterministicAcrossThreadCounts) {
   // I/O happens on both paths but is schedule-dependent (shared caches).
   EXPECT_GT(seq_stats.candidates, 0u);
   EXPECT_GT(par_stats.io_reads, 0u);
-  EXPECT_GT(par_stats.wall_ms, 0.0);
-  EXPECT_GT(par_stats.Qps(), 0.0);
+  EXPECT_GT(par_stats.total_ms, 0.0);
 }
 
 TEST_F(QueryEngineTest, RangeSearchMatchesBruteForce) {
@@ -133,22 +130,20 @@ TEST_F(QueryEngineTest, RangeSearchMatchesBruteForce) {
 TEST_F(QueryEngineTest, RangeBatchIdenticalAcrossThreadCounts) {
   const double radius = index_->KnnSearch(queries_.Row(0), 8).back().distance;
   const auto reference = MakeEngine(1).RangeSearchBatch(queries_, radius);
-  EngineStats stats;
+  QueryStats stats;
   const auto got = MakeEngine(5).RangeSearchBatch(queries_, radius, &stats);
   ASSERT_EQ(got.size(), reference.size());
   for (size_t q = 0; q < got.size(); ++q) {
     EXPECT_TRUE(got[q] == reference[q]) << "q=" << q;
   }
-  EXPECT_EQ(stats.queries, queries_.rows());
 }
 
 TEST_F(QueryEngineTest, SingleRowBatchUsesSubspaceFanOut) {
   const Matrix one = queries_.Truncated(1);
-  EngineStats stats;
+  QueryStats stats;
   const auto batch = MakeEngine(4).KnnSearchBatch(one, kK, &stats);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_TRUE(batch[0] == index_->KnnSearch(one.Row(0), kK));
-  EXPECT_EQ(stats.queries, 1u);
 }
 
 TEST_F(QueryEngineTest, DefaultThreadCountResolvesToHardware) {

@@ -138,7 +138,7 @@ TEST_P(UpdateFuzzTest, MixedOpsStayByteIdenticalToOracle) {
   EXPECT_GT(deletes, kOps / 8);
   EXPECT_GT(knns, kOps / 16);
   EXPECT_GT(ranges, kOps / 16);
-  const EngineStats updates = index.UpdateStats();
+  const SearchIndex::Stats updates = index.UpdateStats();
   EXPECT_EQ(updates.inserts, inserts);
   EXPECT_EQ(updates.deletes, deletes);
 }

@@ -196,7 +196,7 @@ TEST_P(DurableIndexGeneratorTest, ReopenReplaysLoggedWritesByteIdentically) {
       oracle.Insert(id, pool.Row(id));
     }
     ApplyOps(*built, &oracle, ops, 0, ops.size());
-    const EngineStats us = built->UpdateStats();
+    const SearchIndex::Stats us = built->UpdateStats();
     EXPECT_EQ(us.wal_appends, ops.size());
     EXPECT_GE(us.wal_fsyncs, ops.size());  // kAlways: one barrier per op
   }  // destroyed WITHOUT a checkpoint: everything lives only in the log
@@ -531,15 +531,49 @@ TEST_F(DurableIndexTest, WalLanesFlowThroughTheStatsSurface) {
   ASSERT_TRUE(built->Delete(0, &del).ok());
   EXPECT_EQ(del.deletes, 1u);
   EXPECT_EQ(del.wal_appends, 1u);
-  const EngineStats us = built->UpdateStats();
+  const SearchIndex::Stats us = built->UpdateStats();
   EXPECT_EQ(us.inserts, 1u);
   EXPECT_EQ(us.deletes, 1u);
   EXPECT_EQ(us.wal_appends, 2u);
   EXPECT_GE(us.wal_fsyncs, 2u);
-  // The aggregate surface picks the lanes up too.
-  SearchIndex::Stats sum;
-  sum.Add(us);
-  EXPECT_EQ(sum.wal_appends, 2u);
+}
+
+TEST_F(DurableIndexTest, UpdateStatsIsOneSnapshotUnderConcurrentWrites) {
+  // Regression: UpdateStats() read the insert/delete totals and the WAL
+  // lanes under two writer-mutex acquisitions, so a write landing between
+  // them tore the snapshot. A write appends and applies under one
+  // acquisition, so every consistent snapshot of this index satisfies
+  // inserts + deletes == wal_appends + wal_replayed.
+  CrashPlan plan;
+  const Matrix pool = PlanPool(plan);
+  auto built = BuildPlanIndex(plan, pool, Durability(FsyncMode::kNone));
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  ASSERT_TRUE(built->Save(idx_path_).ok());
+
+  constexpr uint64_t kPairs = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<bool> writer_ok{true};
+  std::thread writer([&] {
+    const auto point = pool.Row(plan.initial);
+    for (uint64_t i = 0; i < kPairs && writer_ok.load(); ++i) {
+      const auto id = built->Insert(point);
+      writer_ok.store(id.ok() && built->Delete(*id).ok());
+    }
+    done.store(true);
+  });
+  uint64_t snapshots = 0, torn = 0;
+  while (!done.load()) {
+    const SearchIndex::Stats s = built->UpdateStats();
+    ++snapshots;
+    if (s.inserts + s.deletes != s.wal_appends + s.wal_replayed) ++torn;
+  }
+  writer.join();
+  ASSERT_TRUE(writer_ok.load());
+  EXPECT_EQ(torn, 0u) << "torn snapshots out of " << snapshots;
+  const SearchIndex::Stats last = built->UpdateStats();
+  EXPECT_EQ(last.inserts, kPairs);
+  EXPECT_EQ(last.deletes, kPairs);
+  EXPECT_EQ(last.wal_appends, 2 * kPairs);
 }
 
 TEST_F(DurableIndexTest, GroupCommitWriterRacesParallelReadersCleanly) {
