@@ -42,6 +42,7 @@ void AddTreeWork(const WorkCounters& tree, const IoDelta& io,
   st->io_reads += io.reads();
   st->nodes_visited += tree.nodes_visited;
   st->candidates += tree.points_evaluated;
+  st->exact_evals += tree.exact_evals;
 }
 
 Status CheckCommon(const Pager* pager, const Matrix& data,
@@ -128,7 +129,8 @@ class BBTreeBackend final : public SearchIndex {
   BBTreeBackend(Pager* pager, const Matrix& data, const BregmanDivergence& div,
                 const BBTBaselineConfig& config)
       : pager_(pager), n_(data.rows()),
-        bbt_(std::make_unique<BBTBaseline>(pager, data, div, config)) {}
+        bbt_(std::make_unique<BBTBaseline>(pager, data, div, config)),
+        tuples_(TransformedDataset::WholeSpace(data, div)) {}
 
   std::string Describe() const override {
     return "bbtree(divergence=" + bbt_->tree().divergence().Name() + ", " +
@@ -159,8 +161,8 @@ class BBTreeBackend final : public SearchIndex {
     WorkCounters tree;
     // The whole-space tree's leaves store full vectors, so the exact range
     // algorithm answers directly from index pages.
-    std::vector<uint32_t> ids =
-        bbt_->tree().RangeSearchExact(y, radius, &tree);
+    std::vector<uint32_t> ids = bbt_->tree().RangeSearchExact(
+        y, radius, tuples_, /*partition=*/0, &tree);
     std::sort(ids.begin(), ids.end());
     AddTreeWork(tree, io, st);
     return ids;
@@ -170,6 +172,8 @@ class BBTreeBackend final : public SearchIndex {
   Pager* pager_;
   size_t n_;
   std::unique_ptr<BBTBaseline> bbt_;
+  /// The one-partition table RangeSearchExact decides leaf points from.
+  TransformedDataset tuples_;
 };
 
 class VAFileBackend final : public SearchIndex {

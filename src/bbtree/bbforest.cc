@@ -10,13 +10,17 @@ namespace brep {
 BBForest::BBForest(Pager* pager, const Matrix& data,
                    const BregmanDivergence& div,
                    std::vector<std::vector<size_t>> partitions,
-                   const BBForestConfig& config)
+                   const BBForestConfig& config,
+                   const TransformedDataset& tuples)
     : filter_mode_(config.filter_mode),
+      tuples_(&tuples),
       pool_pages_(config.pool_pages),
       partitions_(std::move(partitions)) {
   BREP_CHECK(pager != nullptr);
   BREP_CHECK(!partitions_.empty());
   BREP_CHECK(data.cols() == div.dim());
+  BREP_CHECK(tuples.num_points() == data.rows() &&
+             tuples.num_partitions() == partitions_.size());
   internal::GetBuildCounters().forest_builds.fetch_add(
       1, std::memory_order_relaxed);
 
@@ -46,13 +50,16 @@ BBForest::BBForest(Pager* pager, const BregmanDivergence& div,
                    std::vector<std::vector<size_t>> partitions,
                    FilterMode filter_mode, size_t pool_pages,
                    const PointStoreLayout& store_layout,
-                   std::span<const DiskBBTreeLayout> tree_layouts)
+                   std::span<const DiskBBTreeLayout> tree_layouts,
+                   const TransformedDataset& tuples)
     : filter_mode_(filter_mode),
+      tuples_(&tuples),
       pool_pages_(pool_pages),
       partitions_(std::move(partitions)) {
   BREP_CHECK(pager != nullptr);
   BREP_CHECK(!partitions_.empty());
   BREP_CHECK(tree_layouts.size() == partitions_.size());
+  BREP_CHECK(tuples.num_partitions() == partitions_.size());
 
   store_ = std::make_unique<PointStore>(pager, store_layout);
   trees_.reserve(partitions_.size());
@@ -64,8 +71,10 @@ BBForest::BBForest(Pager* pager, const BregmanDivergence& div,
   }
 }
 
-BBForest::BBForest(const BBForest& writer, const PageSource* src)
+BBForest::BBForest(const BBForest& writer, const PageSource* src,
+                   const TransformedDataset& tuples)
     : filter_mode_(writer.filter_mode_),
+      tuples_(&tuples),
       pool_pages_(writer.pool_pages_),
       partitions_(writer.partitions_) {
   store_ = writer.store_->SnapshotClone(src);
@@ -75,9 +84,11 @@ BBForest::BBForest(const BBForest& writer, const PageSource* src)
   }
 }
 
-std::unique_ptr<BBForest> BBForest::SnapshotClone(const PageSource* src) const {
+std::unique_ptr<BBForest> BBForest::SnapshotClone(
+    const PageSource* src, const TransformedDataset& tuples) const {
   BREP_CHECK(src != nullptr);
-  return std::unique_ptr<BBForest>(new BBForest(*this, src));
+  BREP_CHECK(tuples.num_partitions() == partitions_.size());
+  return std::unique_ptr<BBForest>(new BBForest(*this, src, tuples));
 }
 
 void BBForest::Insert(uint32_t id, std::span<const double> x) {
@@ -150,6 +161,16 @@ BBForest::PoolCounters BBForest::pool_counters() const {
   return out;
 }
 
+std::vector<uint32_t> BBForest::FilterTree(size_t m,
+                                           std::span<const double> y_sub,
+                                           double radius,
+                                           WorkCounters* stats) const {
+  BREP_CHECK(m < trees_.size());
+  return filter_mode_ == FilterMode::kExactRange
+             ? trees_[m]->RangeSearchExact(y_sub, radius, *tuples_, m, stats)
+             : trees_[m]->RangeCandidates(y_sub, radius, stats);
+}
+
 std::vector<uint32_t> BBForest::RangeCandidatesUnion(
     std::span<const std::vector<double>> y_subs, std::span<const double> radii,
     WorkCounters* stats) const {
@@ -157,10 +178,8 @@ std::vector<uint32_t> BBForest::RangeCandidatesUnion(
   BREP_CHECK(radii.size() == trees_.size());
   std::vector<uint32_t> all;
   for (size_t m = 0; m < trees_.size(); ++m) {
-    std::vector<uint32_t> cand =
-        filter_mode_ == FilterMode::kExactRange
-            ? trees_[m]->RangeSearchExact(y_subs[m], radii[m], stats)
-            : trees_[m]->RangeCandidates(y_subs[m], radii[m], stats);
+    const std::vector<uint32_t> cand =
+        FilterTree(m, y_subs[m], radii[m], stats);
     all.insert(all.end(), cand.begin(), cand.end());
   }
   std::sort(all.begin(), all.end());

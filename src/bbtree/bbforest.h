@@ -7,6 +7,7 @@
 
 #include "bbtree/bbtree.h"
 #include "bbtree/disk_bbtree.h"
+#include "core/bound.h"
 #include "dataset/matrix.h"
 #include "divergence/bregman.h"
 #include "storage/pager.h"
@@ -37,6 +38,12 @@ struct BBForestConfig {
 /// The paper's integrated, disk-resident index (Section 6): one disk BB-tree
 /// per partitioned subspace, all sharing a single point store.
 ///
+/// A forest is bound to the tuple table (TransformedDataset) of the same
+/// index version: the exact range filter decides leaf points through the
+/// certified identity evaluation, which reads each point's stored
+/// per-subspace transform by id (DiskBBTree::RangeSearchExact). The table
+/// must outlive the forest and describe exactly the points its trees hold.
+///
 /// Following the paper, the full-dimensional points are laid out on disk in
 /// the leaf order of the tree of the *first* subspace; with PCCP the
 /// subspaces cluster similarly, so the leaves of every other tree index
@@ -45,10 +52,11 @@ struct BBForestConfig {
 class BBForest {
  public:
   /// Build over `data` (n x d) with full-space divergence `div`.
-  /// `partitions[m]` lists the original column indices of subspace m.
+  /// `partitions[m]` lists the original column indices of subspace m;
+  /// `tuples` is `data` transformed over the same partitions.
   BBForest(Pager* pager, const Matrix& data, const BregmanDivergence& div,
            std::vector<std::vector<size_t>> partitions,
-           const BBForestConfig& config);
+           const BBForestConfig& config, const TransformedDataset& tuples);
 
   /// Re-attach to a forest previously written on `pager`: the point-store
   /// placement and the per-tree page lists come from a saved catalog, so no
@@ -57,17 +65,20 @@ class BBForest {
   BBForest(Pager* pager, const BregmanDivergence& div,
            std::vector<std::vector<size_t>> partitions, FilterMode filter_mode,
            size_t pool_pages, const PointStoreLayout& store_layout,
-           std::span<const DiskBBTreeLayout> tree_layouts);
+           std::span<const DiskBBTreeLayout> tree_layouts,
+           const TransformedDataset& tuples);
 
   BBForest(const BBForest&) = delete;
   BBForest& operator=(const BBForest&) = delete;
 
   /// Read-only clone bound to an MVCC snapshot: the store and every tree are
-  /// snapshot-cloned to read through `src` (which must outlive the clone),
-  /// sharing the writer's buffer pools and COW tables. Cheap -- no pager
-  /// I/O. Clones serve the whole search path (RangeCandidatesUnion, tree
+  /// snapshot-cloned to read through `src`, and the clone is bound to
+  /// `tuples`, the same version's tuple table (both must outlive the
+  /// clone). Shares the writer's buffer pools and COW tables. Cheap -- no
+  /// pager I/O. Clones serve the whole search path (FilterTree, tree
   /// searches, point fetches); mutating calls on a clone abort.
-  std::unique_ptr<BBForest> SnapshotClone(const PageSource* src) const;
+  std::unique_ptr<BBForest> SnapshotClone(
+      const PageSource* src, const TransformedDataset& tuples) const;
 
   size_t num_partitions() const { return partitions_.size(); }
   size_t num_points() const { return store_->num_points(); }
@@ -99,13 +110,20 @@ class BBForest {
     return trees_[m]->divergence();
   }
   const PointStore& point_store() const { return *store_; }
+  /// The tuple table this forest is bound to (see the class comment).
+  const TransformedDataset& tuples() const { return *tuples_; }
 
-  /// Filter step: run the range query `filter_mode()` selects in every
-  /// subspace (query subvector `y_subs[m]`, radius `radii[m]`) -- by default
-  /// the exact range search, else the cluster-granularity one -- and return
-  /// the union of candidate ids (sorted, deduplicated). Theorem 3 guarantees
-  /// the true kNN are inside when the radii are the components of the k-th
-  /// smallest upper bound.
+  /// Filter step in subspace `m`: the range query `filter_mode()` selects
+  /// (query subvector `y_sub`, radius `radius`) -- by default the exact
+  /// range search, else the cluster-granularity one. Ids unordered.
+  std::vector<uint32_t> FilterTree(size_t m, std::span<const double> y_sub,
+                                   double radius,
+                                   WorkCounters* stats = nullptr) const;
+
+  /// FilterTree in every subspace (query subvector `y_subs[m]`, radius
+  /// `radii[m]`), returning the union of candidate ids (sorted,
+  /// deduplicated). Theorem 3 guarantees the true kNN are inside when the
+  /// radii are the components of the k-th smallest upper bound.
   std::vector<uint32_t> RangeCandidatesUnion(
       std::span<const std::vector<double>> y_subs,
       std::span<const double> radii, WorkCounters* stats = nullptr) const;
@@ -137,9 +155,11 @@ class BBForest {
 
  private:
   /// Snapshot-clone constructor (see SnapshotClone).
-  BBForest(const BBForest& writer, const PageSource* src);
+  BBForest(const BBForest& writer, const PageSource* src,
+           const TransformedDataset& tuples);
 
   FilterMode filter_mode_;
+  const TransformedDataset* tuples_;
   size_t pool_pages_ = 128;
   std::vector<std::vector<size_t>> partitions_;
   std::unique_ptr<PointStore> store_;

@@ -6,12 +6,14 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <utility>
 
 #include "bbtree/kmeans.h"
 #include "common/check.h"
 #include "common/math_utils.h"
+#include "core/bound.h"
 #include "divergence/kernels.h"
 
 namespace brep {
@@ -977,10 +979,11 @@ std::vector<uint32_t> DiskBBTree::RangeCandidates(std::span<const double> y,
   return result;
 }
 
-std::vector<uint32_t> DiskBBTree::RangeSearchExact(std::span<const double> y,
-                                                   double radius,
-                                                   WorkCounters* stats) const {
+std::vector<uint32_t> DiskBBTree::RangeSearchExact(
+    std::span<const double> y, double radius, const TransformedDataset& tuples,
+    size_t partition, WorkCounters* stats) const {
   BREP_CHECK(y.size() == div_.dim());
+  BREP_CHECK(partition < tuples.num_partitions());
   WorkCounters local;
   WorkCounters& st = stats != nullptr ? *stats : local;
   if (root_offset_ == kNoNode) return {};
@@ -988,12 +991,18 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(std::span<const double> y,
   std::vector<double> grad_y(div_.dim());
   div_.Gradient(y, std::span<double>(grad_y));
 
-  // Batched leaf evaluation straight off the SoA payload: phi(y)/phi'(y)
-  // are cached once, each leaf's columns stream unit-stride through the
-  // active kernel backend (byte-identical to per-point Divergence).
+  // Leaf points are decided through the identity D = a_x + a_y + b_yy +
+  // b_xy: the SoA payload streams through the cross-term kernel (one dot
+  // product per point, no phi), a_x comes from the tuple table, and only
+  // points the rounding bound cannot decide pay the exact expression. When
+  // phi is plain arithmetic the batched exact expression is cheaper than
+  // that (simd::IdentityPays), so every point takes it.
   const simd::DivergenceScan scan(div_, y);
-  std::vector<double> leaf_d;
-  leaf_d.reserve(max_leaf_size_);
+  std::optional<simd::IdentityScan> identity;
+  if (simd::IdentityPays(div_.kernel_info())) identity.emplace(scan);
+  std::vector<double> dist;  // exact path
+  std::vector<double> bxy;   // identity path
+  std::vector<double> gx;
 
   std::vector<uint32_t> result;
   std::vector<uint64_t> stack{root_offset_};
@@ -1008,11 +1017,29 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(std::span<const double> y,
     ReadNodeTail(off, &node);
     if (node.is_leaf) {
       ++st.leaves_visited;
-      leaf_d.resize(node.ids.size());
-      scan.BatchSoA(node.points.data(), node.ids.size(), leaf_d.data());
-      for (size_t i = 0; i < node.ids.size(); ++i) {
-        ++st.points_evaluated;
-        if (leaf_d[i] <= radius) result.push_back(node.ids[i]);
+      const size_t count = node.ids.size();
+      const double* xs = node.points.data();
+      st.points_evaluated += count;
+      if (identity) {
+        bxy.resize(count);
+        gx.resize(count);
+        identity->CrossTermsSoA(xs, count, bxy.data(), gx.data());
+        for (size_t i = 0; i < count; ++i) {
+          BREP_DCHECK(node.ids[i] < tuples.num_points());
+          const PointTuple& t = tuples.At(node.ids[i], partition);
+          if (identity->WithinRadius(t.alpha, t.alpha_abs, bxy[i], gx[i],
+                                     /*parts=*/1, radius, xs + i, count,
+                                     &st.exact_evals)) {
+            result.push_back(node.ids[i]);
+          }
+        }
+      } else {
+        dist.resize(count);
+        scan.BatchSoA(xs, count, dist.data());
+        st.exact_evals += count;
+        for (size_t i = 0; i < count; ++i) {
+          if (dist[i] <= radius) result.push_back(node.ids[i]);
+        }
       }
     } else {
       stack.push_back(node.left_off);

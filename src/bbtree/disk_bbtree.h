@@ -17,6 +17,8 @@
 
 namespace brep {
 
+class TransformedDataset;
+
 /// Serializable description of a disk tree's pages: enough to re-attach to
 /// an already-written tree with zero writes (see the attach constructor).
 ///
@@ -150,8 +152,19 @@ class DiskBBTree {
   /// the filter step): leaves store the subspace vectors, so qualifying
   /// points are identified on the index pages without touching the point
   /// store. Returns exactly {x : D(x_sub, y) <= radius}.
+  ///
+  /// Each leaf point is decided through the certified identity evaluation
+  /// (simd::IdentityScan::WithinRadius): `tuples.At(id, partition)` must
+  /// hold the point's transform over this tree's columns, from the same
+  /// version as the tree (this tree is subspace `partition` of a forest,
+  /// or partition 0 of a one-partition table for a whole-space tree).
+  /// Points the bound cannot decide are evaluated exactly, as is every
+  /// point when phi is plain arithmetic (simd::IdentityPays); both count
+  /// in `exact_evals`.
   std::vector<uint32_t> RangeSearchExact(std::span<const double> y,
                                          double radius,
+                                         const TransformedDataset& tuples,
+                                         size_t partition,
                                          WorkCounters* stats = nullptr) const;
 
   /// Exact branch-and-bound kNN ("BBT" baseline): node pruning uses this

@@ -24,15 +24,20 @@ struct WorkCounters {
   /// deltas over counters every reader of the index shares, so they are
   /// approximate when calls overlap; the four logical counters are exact.
   uint64_t io_reads = 0;
-  /// Candidate points fetched and exactly evaluated (the refine phase).
+  /// Candidate points fetched and decided by the refine phase.
   uint64_t candidates = 0;
   /// Tree nodes visited, summed over the subspace trees.
   uint64_t nodes_visited = 0;
   /// Tree leaves scanned.
   uint64_t leaves_visited = 0;
-  /// Divergence evaluations inside the trees (the filter phase's leaf
-  /// points; the refine phase's exact evaluations are `candidates`).
+  /// Leaf points decided inside the trees (the filter phase); the refine
+  /// phase's points are `candidates`.
   uint64_t points_evaluated = 0;
+  /// Exact Bregman evaluations: the filter's leaf points and the refine's
+  /// candidates that the certified identity bound could not decide, or all
+  /// of them when the index skips the bound (squared L2; README, "Certified
+  /// identity evaluation"). A subset of points_evaluated + candidates.
+  uint64_t exact_evals = 0;
   /// Buffer-pool node-cache hits and misses.
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
@@ -43,6 +48,7 @@ struct WorkCounters {
     nodes_visited += o.nodes_visited;
     leaves_visited += o.leaves_visited;
     points_evaluated += o.points_evaluated;
+    exact_evals += o.exact_evals;
     pool_hits += o.pool_hits;
     pool_misses += o.pool_misses;
     return *this;

@@ -12,7 +12,11 @@ PointTuple TransformPoint(const BregmanDivergence& sub_div,
                           std::span<const double> x_sub) {
   BREP_DCHECK(x_sub.size() == sub_div.dim());
   PointTuple t;
-  t.alpha = sub_div.F(x_sub);
+  const simd::PhiSums sums =
+      simd::PhiSumWithAbs(sub_div.kernel_info(), sub_div.generator(), x_sub,
+                          sub_div.weights_span());
+  t.alpha = sums.sum;
+  t.alpha_abs = sums.abs_sum;
   for (double v : x_sub) t.gamma += v * v;
   return t;
 }
@@ -69,6 +73,14 @@ TransformedDataset::TransformedDataset(size_t n, size_t m,
     : n_(n), m_(m) {
   BREP_CHECK(tuples.size() == n * m);
   tuples_.Assign(std::span<const PointTuple>(tuples));
+}
+
+TransformedDataset TransformedDataset::WholeSpace(
+    const Matrix& data, const BregmanDivergence& div) {
+  std::vector<size_t> all(data.cols());
+  for (size_t j = 0; j < all.size(); ++j) all[j] = j;
+  const std::vector<std::vector<size_t>> partitions{std::move(all)};
+  return TransformedDataset(data, partitions, std::span(&div, 1));
 }
 
 void TransformedDataset::SetRow(size_t i, std::span<const PointTuple> row) {

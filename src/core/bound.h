@@ -27,12 +27,17 @@ namespace brep {
 ///
 /// Point tuples (a_x, g_x) are precomputed offline; query triples
 /// (a_y, b_yy, d_y) cost O(d) once per query, after which every bound
-/// evaluation is O(1).
+/// evaluation is O(1). The tuple also stores sum_j |w_j phi(x_j)|, the
+/// magnitude the rounding bound of the exact identity needs: the filter and
+/// the refine evaluate D through the identity with a transcendental-free
+/// b_xy and fall back to the exact expression only when that bound cannot
+/// decide (simd::IdentityScan::Bounds).
 
 /// P(x) of Algorithm 2: per-subspace precomputed tuple.
 struct PointTuple {
-  double alpha = 0.0;  // a_x
-  double gamma = 0.0;  // g_x
+  double alpha = 0.0;      // a_x
+  double gamma = 0.0;      // g_x
+  double alpha_abs = 0.0;  // sum_j |w_j phi(x_j)|, same phi values as a_x
 };
 
 /// Q(y) of Algorithm 3: per-subspace query triple.
@@ -83,6 +88,11 @@ class TransformedDataset {
   /// path, which must not redo the transform.
   TransformedDataset(size_t n, size_t m, std::vector<PointTuple> tuples);
 
+  /// The one-partition table over every column of `data`: what a
+  /// whole-space DiskBBTree's exact range search reads (partition 0).
+  static TransformedDataset WholeSpace(const Matrix& data,
+                                       const BregmanDivergence& div);
+
   size_t num_points() const { return n_; }
   size_t num_partitions() const { return m_; }
 
@@ -96,7 +106,8 @@ class TransformedDataset {
   /// Tuple of a deleted point: its total upper bound is +infinity, so it
   /// can never become the k-th searching bound while k <= live points.
   static PointTuple DeadTuple() {
-    return PointTuple{std::numeric_limits<double>::infinity(), 0.0};
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    return PointTuple{kInf, 0.0, kInf};
   }
 
   const PointTuple& At(size_t i, size_t m) const { return tuples_[i * m_ + m]; }

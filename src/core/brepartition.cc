@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/pccp.h"
+#include "core/refine.h"
 #include "divergence/factory.h"
 #include "divergence/generators.h"
 #include "divergence/kernels.h"
@@ -26,7 +27,9 @@ namespace {
 constexpr uint64_t kCatalogMagic = 0x3154414350455242ull;
 // v2 added dynamic-update state: free ids, the slot-accurate point-store
 // layout, and the trees' mutation metadata (chunks, split config, counts).
-constexpr uint32_t kCatalogVersion = 2;
+// v3 widened the stored tuples by PointTuple::alpha_abs (the certified
+// identity evaluation's magnitude term).
+constexpr uint32_t kCatalogVersion = 3;
 
 }  // namespace
 
@@ -80,7 +83,7 @@ BrePartition::BrePartition(Pager* pager, const Matrix& data,
 
   // 4. Disk-resident BB-forest.
   forest_ = std::make_unique<BBForest>(pager_, data, div_, partitions_,
-                                       config_.forest);
+                                       config_.forest, transformed_);
   live_points_ = data.rows();
   PublishVersionLocked();  // version 1: construction is single-threaded
 }
@@ -647,7 +650,7 @@ std::unique_ptr<BrePartition> BrePartition::Open(Pager* pager,
   index->transformed_ = TransformedDataset(n, m, std::move(tuples));
   index->forest_ = std::make_unique<BBForest>(
       pager, index->div_, index->partitions_, filter_mode, pool_pages,
-      store_layout, tree_layouts);
+      store_layout, tree_layouts, index->transformed_);
   index->free_ids_ = std::move(free_ids);
   index->live_points_ = live;
   index->PublishVersionLocked();  // version 1: Open is single-threaded
@@ -695,17 +698,11 @@ std::vector<Neighbor> BrePartition::FilterAndRefineOn(
   const std::vector<uint32_t> candidates =
       forest.RangeCandidatesUnion(y_subs, radii, &st);
   st.filter_ms += filter_timer.ElapsedMillis();
-  st.candidates += candidates.size();
 
-  // Refine: fetch candidates (page-batched) and evaluate exactly.
   Timer refine_timer;
-  TopK topk(k);
-  forest.point_store().FetchMany(
-      candidates, [&](uint32_t id, std::span<const double> x) {
-        topk.Push(div_.Divergence(x, y), id);
-      });
+  auto result = Refiner(forest, div_, y).Knn(candidates, k, &st);
   st.refine_ms += refine_timer.ElapsedMillis();
-  return topk.SortedResults();
+  return result;
 }
 
 void BrePartition::PublishVersionLocked() const {
@@ -713,9 +710,9 @@ void BrePartition::PublishVersionLocked() const {
   auto v = std::make_shared<IndexVersion>();
   v->seq = ++version_seq_;
   v->pages = std::make_shared<const PageSnapshot>(*pager_);
-  v->forest = std::shared_ptr<const BBForest>(
-      forest_->SnapshotClone(v->pages.get()));
   v->transformed = transformed_;  // COW: copies the chunk spine only
+  v->forest = std::shared_ptr<const BBForest>(
+      forest_->SnapshotClone(v->pages.get(), v->transformed));
   v->live_points = live_points_.load(std::memory_order_relaxed);
 
   // Publication point: from here every new pin observes this version.

@@ -52,13 +52,14 @@ namespace brep {
 class BrePartition {
  private:
   /// One published MVCC version: everything a query reads, immutable.
-  /// `pages` is declared before `forest` so the forest clone (which reads
-  /// through the snapshot) is destroyed first.
+  /// `pages` and `transformed` are declared before `forest` so the forest
+  /// clone (which reads through the snapshot and is bound to the tuple
+  /// table) is destroyed first.
   struct IndexVersion {
     uint64_t seq = 0;
     std::shared_ptr<const PageSnapshot> pages;
-    std::shared_ptr<const BBForest> forest;
     TransformedDataset transformed;
+    std::shared_ptr<const BBForest> forest;
     size_t live_points = 0;
     /// Epoch stamped when this version was superseded (see EpochGate);
     /// meaningful only once the version sits on the retired list.

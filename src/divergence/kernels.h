@@ -40,6 +40,9 @@ namespace simd {
 ///    results are also byte-identical (a 0-ULP bound; see
 ///    tests/divergence/kernels_test.cc, which enforces the bound per
 ///    backend).
+///  * The identity cross-term kernel (IdentityScan::CrossTermsSoA) is
+///    plain mul/add for every generator, so its AVX2 lanes serve the
+///    transcendental generators too; only the exact fallback pays libm.
 ///
 /// Dispatch: the backend is resolved once per process from CPUID
 /// (AVX2 support), the BREP_SIMD compile option, and the BREP_SIMD
@@ -95,6 +98,16 @@ void ClearBackendOverrideForTest();
 double PhiSum(const KernelInfo& info, const ScalarGenerator& g,
               std::span<const double> x, std::span<const double> w);
 
+/// PhiSum together with sum_j |w_j phi(x_j)|, from one phi evaluation per
+/// coordinate; `sum` is bit-identical to PhiSum. The point transform stores
+/// both (PointTuple::alpha, PointTuple::alpha_abs).
+struct PhiSums {
+  double sum = 0.0;
+  double abs_sum = 0.0;
+};
+PhiSums PhiSumWithAbs(const KernelInfo& info, const ScalarGenerator& g,
+                      std::span<const double> x, std::span<const double> w);
+
 /// sum_j w_j (phi(x_j) - phi(y_j) - phi'(y_j) (x_j - y_j)), unclamped
 /// (BregmanDivergence::Divergence applies the max(acc, 0) clamp).
 double PairDivergence(const KernelInfo& info, const ScalarGenerator& g,
@@ -112,7 +125,8 @@ void GradientInverseInto(const KernelInfo& info, const ScalarGenerator& g,
                          std::span<double> out);
 
 // ---------------------------------------------------------------------------
-// Batched multi-point divergence evaluation (the leaf-scan kernel).
+// Batched multi-point divergence evaluation (the leaf-scan kernel) and the
+// certified identity evaluation.
 
 /// Query-side context for scanning many points against one query `y`:
 /// caches phi(y_j) and phi'(y_j) so a leaf scan pays the query's
@@ -142,12 +156,93 @@ class DivergenceScan {
   size_t dim() const { return y_.size(); }
 
  private:
+  friend class IdentityScan;
+
+  /// One() for a point whose coordinate j lives at x[j * stride].
+  double OneStrided(const double* x, size_t stride) const;
+
   const ScalarGenerator* gen_;
   KernelInfo info_;
   std::span<const double> y_;
   std::span<const double> w_;          // empty => unweighted
   std::vector<double> phi_y_;          // phi(y_j)
   std::vector<double> dphi_y_;         // phi'(y_j)
+};
+
+/// Whether deciding points through IdentityScan costs less than evaluating
+/// them exactly. False only when phi is plain arithmetic (squared L2): its
+/// exact expression then runs in AVX2 lanes and costs no more than the
+/// identity's two dot products, which also read each point's stored tuple
+/// by id. True for every generator whose phi needs libm, and for unknown
+/// generators (one virtual call per coordinate).
+bool IdentityPays(const KernelInfo& info);
+
+/// Bounds on one point's exact divergence from the paper's identity; both
+/// NaN when the bound cannot certify anything (see IdentityScan::Bounds).
+struct IdentityBounds {
+  double lo;
+  double hi;
+};
+
+/// The query side of the certified identity evaluation (README, "Certified
+/// identity evaluation"). With alpha_x = sum_j w_j phi(x_j) precomputed per
+/// point (PointTuple::alpha),
+///
+///   D(x, y) = alpha_x + a_y + b_yy + b_xy,   b_xy = -sum_j x_j g_j,
+///
+/// where g_j = w_j phi'(y_j) and a_y, b_yy are per-query constants, so a
+/// point costs one transcendental-free dot product (CrossTermsSoA) instead
+/// of one phi per coordinate. Bounds() turns that value into a certified
+/// interval around the exact expression; the borrowed DivergenceScan, whose
+/// phi(y_j) and phi'(y_j) this context reuses, resolves what it cannot
+/// decide.
+///
+/// Borrows `exact`, which must outlive it.
+class IdentityScan {
+ public:
+  explicit IdentityScan(const DivergenceScan& exact);
+
+  /// The identity's cross terms for `count` SoA points (layout as in
+  /// DivergenceScan::BatchSoA): bxy[i] = -sum_j x_ij g_j and
+  /// gx[i] = sum_j |x_ij| h_j with h_j = |g_j| + 2^-24 (the magnitude sum
+  /// the rounding bound needs; the 2^-24 floor also bounds |x_ij|, see
+  /// Bounds). One point per lane, j summed in order, no FMA: every backend
+  /// returns the same bits.
+  void CrossTermsSoA(const double* xs, size_t count, double* bxy,
+                     double* gx) const;
+
+  /// CrossTermsSoA for one contiguous point.
+  void CrossTerms(std::span<const double> x, double* bxy, double* gx) const;
+
+  /// Certified interval for the exact unclamped divergence D_ref (the
+  /// expression DivergenceScan::One evaluates before its max(., 0) clamp):
+  /// lo <= D_ref <= hi. `alpha` and `alpha_abs` are the point's stored
+  /// sum_j w_j phi(x_j) and sum_j |w_j phi(x_j)|, summed over `parts`
+  /// stored tuples (1 in a subspace tree, M in the full-space refine);
+  /// `bxy`, `gx` come from CrossTerms(SoA). Both bounds are NaN -- every
+  /// comparison false, so callers fall through to the exact expression --
+  /// when an input is NaN or infinite or magnitudes approach overflow.
+  IdentityBounds Bounds(double alpha, double alpha_abs, double bxy, double gx,
+                        size_t parts) const;
+
+  /// Whether D(x, y) <= radius, decided from Bounds() when it can and by
+  /// the exact expression otherwise (then counted in *exact_evals).
+  /// Coordinate j of the point lives at x[j * stride] (an SoA column:
+  /// stride = the block's point count). Equals the exact comparison for
+  /// every input.
+  bool WithinRadius(double alpha, double alpha_abs, double bxy, double gx,
+                    size_t parts, double radius, const double* x,
+                    size_t stride, uint64_t* exact_evals) const;
+
+ private:
+  const DivergenceScan& exact_;
+  std::vector<double> neg_g_;  // -g_j = -w_j phi'(y_j)
+  std::vector<double> h_;      // |g_j| + 2^-24
+  double a_y_ = 0.0;           // -sum_j w_j phi(y_j)
+  double b_yy_ = 0.0;          // sum_j y_j g_j
+  double q_abs_ = 0.0;         // sum_j |w_j phi(y_j)|
+  double g_abs_ = 0.0;         // sum_j |y_j g_j|
+  double guard_ = 0.0;         // certify only below this magnitude
 };
 
 // ---------------------------------------------------------------------------

@@ -119,6 +119,48 @@ void Avx2BatchRows(const ScanCtx& c, const double* base, size_t row_stride,
   });
 }
 
+void Avx2CrossTermsSoA(const CrossCtx& c, const double* xs, size_t count,
+                       double* bxy, double* gx) {
+  // Plain arithmetic for every generator (no phi here), so all of them run
+  // the lanes. Two points-of-four per iteration keep two independent
+  // accumulator chains in flight; |x| clears the sign bit exactly like
+  // std::fabs.
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d vzero = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    __m256d b0 = vzero, b1 = vzero, a0 = vzero, a1 = vzero;
+    for (size_t j = 0; j < c.dim; ++j) {
+      const __m256d ng = _mm256_set1_pd(c.neg_g[j]);
+      const __m256d hj = _mm256_set1_pd(c.h[j]);
+      const __m256d x0 = _mm256_loadu_pd(xs + j * count + i);
+      const __m256d x1 = _mm256_loadu_pd(xs + j * count + i + 4);
+      b0 = _mm256_add_pd(b0, _mm256_mul_pd(x0, ng));
+      b1 = _mm256_add_pd(b1, _mm256_mul_pd(x1, ng));
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_andnot_pd(sign, x0), hj));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_andnot_pd(sign, x1), hj));
+    }
+    _mm256_storeu_pd(bxy + i, b0);
+    _mm256_storeu_pd(bxy + i + 4, b1);
+    _mm256_storeu_pd(gx + i, a0);
+    _mm256_storeu_pd(gx + i + 4, a1);
+  }
+  for (; i + 4 <= count; i += 4) {
+    __m256d b = vzero, a = vzero;
+    for (size_t j = 0; j < c.dim; ++j) {
+      const __m256d x = _mm256_loadu_pd(xs + j * count + i);
+      b = _mm256_add_pd(b, _mm256_mul_pd(x, _mm256_set1_pd(c.neg_g[j])));
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_andnot_pd(sign, x),
+                                         _mm256_set1_pd(c.h[j])));
+    }
+    _mm256_storeu_pd(bxy + i, b);
+    _mm256_storeu_pd(gx + i, a);
+  }
+  for (; i < count; ++i) {
+    CrossTermsStrided(c, xs + i, count, bxy + i, gx + i);
+  }
+}
+
 void Avx2UBTotalsBlock(const PointTuple* rows, size_t nrows, size_t m,
                        const QueryTriple* q, double* totals, double* ub,
                        size_t ub_stride, size_t first_row) {
@@ -175,6 +217,10 @@ void Avx2BatchSoA(const ScanCtx&, const double*, size_t, double*) {
 }
 void Avx2BatchRows(const ScanCtx&, const double*, size_t, const uint32_t*,
                    size_t, double*) {
+  std::abort();
+}
+void Avx2CrossTermsSoA(const CrossCtx&, const double*, size_t, double*,
+                       double*) {
   std::abort();
 }
 void Avx2UBTotalsBlock(const PointTuple*, size_t, size_t, const QueryTriple*,

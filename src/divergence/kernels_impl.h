@@ -110,6 +110,14 @@ struct ScanCtx {
   size_t dim = 0;
 };
 
+/// The identity's query-side weights for the cross-term kernels (the
+/// public IdentityScan owns the arrays).
+struct CrossCtx {
+  const double* neg_g = nullptr;  // -w_j phi'(y_j)
+  const double* h = nullptr;      // |w_j phi'(y_j)| + 2^-24
+  size_t dim = 0;
+};
+
 /// Scalar reference for one point whose coordinate j lives at x[j * stride]
 /// (stride == 1 for a contiguous row, stride == count for an SoA column).
 /// Expression sequence matches BregmanDivergence::Divergence exactly, with
@@ -182,6 +190,57 @@ inline void ScalarBatchRows(const ScanCtx& c, const G& g, const double* base,
   }
 }
 
+/// Scalar reference for the identity's cross terms of one point strided as
+/// in ScanPointStrided: bxy = -sum_j x_j g_j, gx = sum_j |x_j| h_j.
+inline void CrossTermsStrided(const CrossCtx& c, const double* x,
+                              size_t stride, double* bxy, double* gx) {
+  double b = 0.0;
+  double a = 0.0;
+  for (size_t j = 0; j < c.dim; ++j) {
+    const double xv = x[j * stride];
+    b += xv * c.neg_g[j];
+    a += std::fabs(xv) * c.h[j];
+  }
+  *bxy = b;
+  *gx = a;
+}
+
+/// Portable batched cross terms: four points in lock-step through the SoA
+/// columns, each point's j-order sequential (same bits as the one-point
+/// loop; the unroll only buys instruction-level parallelism).
+inline void ScalarCrossTermsSoA(const CrossCtx& c, const double* xs,
+                                size_t count, double* bxy, double* gx) {
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    const double* col = xs + i;
+    for (size_t j = 0; j < c.dim; ++j, col += count) {
+      const double ng = c.neg_g[j];
+      const double hj = c.h[j];
+      b0 += col[0] * ng;
+      b1 += col[1] * ng;
+      b2 += col[2] * ng;
+      b3 += col[3] * ng;
+      a0 += std::fabs(col[0]) * hj;
+      a1 += std::fabs(col[1]) * hj;
+      a2 += std::fabs(col[2]) * hj;
+      a3 += std::fabs(col[3]) * hj;
+    }
+    bxy[i] = b0;
+    bxy[i + 1] = b1;
+    bxy[i + 2] = b2;
+    bxy[i + 3] = b3;
+    gx[i] = a0;
+    gx[i + 1] = a1;
+    gx[i + 2] = a2;
+    gx[i + 3] = a3;
+  }
+  for (; i < count; ++i) {
+    CrossTermsStrided(c, xs + i, count, bxy + i, gx + i);
+  }
+}
+
 /// Scalar reference for the UB totals pass (also the AVX2 tail): the exact
 /// loop QBDetermine ran before the kernel layer existed.
 inline void UBTotalsScalarRef(const PointTuple* rows, size_t nrows, size_t m,
@@ -208,6 +267,8 @@ void Avx2BatchSoA(const ScanCtx& ctx, const double* xs, size_t count,
                   double* out);
 void Avx2BatchRows(const ScanCtx& ctx, const double* base, size_t row_stride,
                    const uint32_t* ids, size_t count, double* out);
+void Avx2CrossTermsSoA(const CrossCtx& ctx, const double* xs, size_t count,
+                       double* bxy, double* gx);
 void Avx2UBTotalsBlock(const PointTuple* rows, size_t nrows, size_t m,
                        const QueryTriple* q, double* totals, double* ub,
                        size_t ub_stride, size_t first_row);

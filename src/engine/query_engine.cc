@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/bound.h"
+#include "core/refine.h"
 
 namespace brep {
 
@@ -35,12 +36,7 @@ std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
   std::vector<WorkCounters> per_stats(m_trees);
 
   auto run_tree = [&](size_t m) {
-    const DiskBBTree& tree = forest.tree(m);
-    per_tree[m] = forest.filter_mode() == FilterMode::kExactRange
-                      ? tree.RangeSearchExact(y_subs[m], radii[m],
-                                              &per_stats[m])
-                      : tree.RangeCandidates(y_subs[m], radii[m],
-                                             &per_stats[m]);
+    per_tree[m] = forest.FilterTree(m, y_subs[m], radii[m], &per_stats[m]);
     if (sorted) std::sort(per_tree[m].begin(), per_tree[m].end());
   };
 
@@ -94,19 +90,12 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
                      candidates.end());
   }
   q.filter_ms += filter_timer.ElapsedMillis();
-  q.candidates += candidates.size();
 
-  // Refine: fetch candidates page-batched and evaluate exactly.
   Timer refine_timer;
-  TopK topk(k);
-  const BregmanDivergence& div = index_->divergence();
-  view.forest().point_store().FetchMany(
-      candidates, [&](uint32_t id, std::span<const double> x) {
-        topk.Push(div.Divergence(x, y), id);
-      });
+  auto result =
+      Refiner(view.forest(), index_->divergence(), y).Knn(candidates, k, &q);
   q.refine_ms += refine_timer.ElapsedMillis();
 
-  auto result = topk.SortedResults();
   storage.Into(&q);
   q.total_ms = total_timer.ElapsedMillis();
   if (lane_work != nullptr) *lane_work += q;
@@ -149,17 +138,11 @@ std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
     candidates.swap(next);
   }
   q.filter_ms += filter_timer.ElapsedMillis();
-  q.candidates += candidates.size();
   q.radius_total = radius;
 
   Timer refine_timer;
-  std::vector<uint32_t> result;
-  const BregmanDivergence& div = index_->divergence();
-  view.forest().point_store().FetchMany(
-      candidates, [&](uint32_t id, std::span<const double> x) {
-        if (div.Divergence(x, y) <= radius) result.push_back(id);
-      });
-  std::sort(result.begin(), result.end());
+  auto result = Refiner(view.forest(), index_->divergence(), y)
+                    .Range(candidates, radius, &q);
   q.refine_ms += refine_timer.ElapsedMillis();
 
   storage.Into(&q);

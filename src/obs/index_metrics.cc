@@ -12,6 +12,7 @@ IndexMetrics RegisterIndexMetrics(MetricRegistry& registry) {
   im.nodes_visited = &registry.GetCounter(kNodesVisitedTotal);
   im.leaves_visited = &registry.GetCounter(kLeavesVisitedTotal);
   im.points_evaluated = &registry.GetCounter(kPointsEvaluatedTotal);
+  im.exact_evals = &registry.GetCounter(kExactEvalsTotal);
   im.knn_latency = &registry.GetHistogram(kKnnLatencyMs);
   im.range_latency = &registry.GetHistogram(kRangeLatencyMs);
   im.bound_latency = &registry.GetHistogram(kBoundLatencyMs);
@@ -43,6 +44,7 @@ void RecordQuery(const IndexMetrics& im, TraceLog& trace,
   im.nodes_visited->AddStripe(stripe, qs.nodes_visited);
   im.leaves_visited->AddStripe(stripe, qs.leaves_visited);
   im.points_evaluated->AddStripe(stripe, qs.points_evaluated);
+  im.exact_evals->AddStripe(stripe, qs.exact_evals);
 
   LatencyHistogram* const op_latency =
       ctx.op == 'k' ? im.knn_latency : im.range_latency;

@@ -89,14 +89,16 @@ std::string FormatQueryTrace(const QueryTraceEntry& e) {
 
   std::snprintf(buf, sizeof(buf),
                 "  work: io_reads=%llu pool=%llu/%llu hit/miss "
-                "nodes=%llu leaves=%llu candidates=%llu evaluated=%llu\n",
+                "nodes=%llu leaves=%llu candidates=%llu evaluated=%llu "
+                "exact=%llu\n",
                 (unsigned long long)e.io_reads,
                 (unsigned long long)e.pool_hits,
                 (unsigned long long)e.pool_misses,
                 (unsigned long long)e.nodes_visited,
                 (unsigned long long)e.leaves_visited,
                 (unsigned long long)e.candidates,
-                (unsigned long long)e.points_evaluated);
+                (unsigned long long)e.points_evaluated,
+                (unsigned long long)e.exact_evals);
   out.append(buf);
   return out;
 }

@@ -24,6 +24,12 @@ class BBForestTest : public ::testing::TestWithParam<std::string> {
   Matrix queries_ = testing::MakeQueriesFor(gen_, data_, 6);
   BregmanDivergence div_ = MakeDivergence(gen_, kDim);
   Partitioning parts_ = EqualContiguousPartition(kDim, kM);
+  std::vector<BregmanDivergence> sub_divs_ = [this] {
+    std::vector<BregmanDivergence> out;
+    for (const auto& cols : parts_) out.push_back(div_.Restrict(cols));
+    return out;
+  }();
+  TransformedDataset tuples_{data_, parts_, sub_divs_};
 
   BBForestConfig Config() {
     BBForestConfig c;
@@ -42,7 +48,7 @@ class BBForestTest : public ::testing::TestWithParam<std::string> {
 
 TEST_P(BBForestTest, StructureMatchesPartitioning) {
   MemPager pager(4096);
-  const BBForest forest(&pager, data_, div_, parts_, Config());
+  const BBForest forest(&pager, data_, div_, parts_, Config(), tuples_);
   ASSERT_EQ(forest.num_partitions(), kM);
   for (size_t m = 0; m < kM; ++m) {
     EXPECT_EQ(forest.tree(m).dim(), parts_[m].size());
@@ -56,22 +62,18 @@ TEST_P(BBForestTest, CandidateUnionContainsExactKnnUnderTheoremBounds) {
   // k-th smallest total upper bound must yield a candidate set containing
   // the exact kNN.
   MemPager pager(4096);
-  const BBForest forest(&pager, data_, div_, parts_, Config());
+  const BBForest forest(&pager, data_, div_, parts_, Config(), tuples_);
   const LinearScan scan(data_, div_);
   constexpr size_t kK = 10;
-
-  std::vector<BregmanDivergence> sub_divs;
-  for (const auto& cols : parts_) sub_divs.push_back(div_.Restrict(cols));
-  const TransformedDataset transformed(data_, parts_, sub_divs);
 
   for (size_t q = 0; q < queries_.rows(); ++q) {
     const auto y = queries_.Row(q);
     const auto y_subs = Gather(y);
     std::vector<QueryTriple> triples(parts_.size());
     for (size_t m = 0; m < parts_.size(); ++m) {
-      triples[m] = TransformQuery(sub_divs[m], y_subs[m]);
+      triples[m] = TransformQuery(sub_divs_[m], y_subs[m]);
     }
-    const QueryBounds qb = QBDetermine(transformed, triples, kK);
+    const QueryBounds qb = QBDetermine(tuples_, triples, kK);
     const auto candidates =
         forest.RangeCandidatesUnion(y_subs, qb.radii);
     const std::set<uint32_t> cand_set(candidates.begin(), candidates.end());
@@ -86,7 +88,7 @@ TEST_P(BBForestTest, CandidateUnionContainsExactKnnUnderTheoremBounds) {
 
 TEST_P(BBForestTest, UnionIsSortedAndUnique) {
   MemPager pager(4096);
-  const BBForest forest(&pager, data_, div_, parts_, Config());
+  const BBForest forest(&pager, data_, div_, parts_, Config(), tuples_);
   const auto y = queries_.Row(0);
   const auto y_subs = Gather(y);
   const std::vector<double> radii(kM, 1e9);  // everything qualifies
@@ -117,8 +119,11 @@ TEST(BBForestLayoutTest, PointStoreUsesFirstTreeLeafOrder) {
   const BBTree tree0(sub0, div0, config.tree);
   const auto order = tree0.LeafOrder();
 
+  std::vector<BregmanDivergence> sub_divs;
+  for (const auto& cols : parts) sub_divs.push_back(div.Restrict(cols));
+  const TransformedDataset tuples(data, parts, sub_divs);
   MemPager pager(2048);
-  const BBForest forest(&pager, data, div, parts, config);
+  const BBForest forest(&pager, data, div, parts, config, tuples);
   const PointStore& store = forest.point_store();
   // The i-th point in leaf order occupies slot i of the layout.
   const size_t per_page = store.points_per_page();

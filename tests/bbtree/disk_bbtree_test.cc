@@ -7,6 +7,7 @@
 
 #include "baselines/linear_scan.h"
 #include "common/math_utils.h"
+#include "core/bound.h"
 #include "divergence/factory.h"
 #include "test_util.h"
 
@@ -108,6 +109,7 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
   MemPager pager(4096);
   const BBTree mem_tree(data_, div_, tree_config_);
   const DiskBBTree disk_tree(&pager, mem_tree);
+  const TransformedDataset tuples = TransformedDataset::WholeSpace(data_, div_);
   const LinearScan scan(data_, div_);
 
   auto expect_same = [](const std::vector<uint32_t>& got,
@@ -141,7 +143,7 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
       expect_same(got, st, ref.candidates, cand_stats,
                   "BBTree::RangeCandidates");
       st = {};
-      got = disk_tree.RangeSearchExact(y, radius, &st);
+      got = disk_tree.RangeSearchExact(y, radius, tuples, 0, &st);
       expect_same(got, st, ref.exact, ref.stats,
                   "DiskBBTree::RangeSearchExact");
       st = {};

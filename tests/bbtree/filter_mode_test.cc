@@ -80,6 +80,7 @@ TEST_F(FilterModeTest, DiskExactRangeMatchesInMemoryRangeSearch) {
   const BBTree mem_tree(data_, div_, tree_config);
   MemPager pager(4096);
   const DiskBBTree disk_tree(&pager, mem_tree);
+  const TransformedDataset tuples = TransformedDataset::WholeSpace(data_, div_);
   const LinearScan scan(data_, div_);
   for (size_t q = 0; q < queries_.rows(); ++q) {
     const auto dists = scan.AllDistances(queries_.Row(q));
@@ -87,7 +88,7 @@ TEST_F(FilterModeTest, DiskExactRangeMatchesInMemoryRangeSearch) {
     std::nth_element(sorted.begin(), sorted.begin() + 30, sorted.end());
     const double radius = sorted[30];
     auto mem = mem_tree.RangeSearch(queries_.Row(q), radius);
-    auto disk = disk_tree.RangeSearchExact(queries_.Row(q), radius);
+    auto disk = disk_tree.RangeSearchExact(queries_.Row(q), radius, tuples, 0);
     std::sort(mem.begin(), mem.end());
     std::sort(disk.begin(), disk.end());
     EXPECT_EQ(mem, disk);

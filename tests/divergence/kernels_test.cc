@@ -1,10 +1,14 @@
 #include "divergence/kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -404,6 +408,199 @@ TEST(KernelEndToEndTest, SquaredL2OracleFuzzIsByteIdenticalAcrossBackends) {
     }
   }
   simd::ClearBackendOverrideForTest();
+}
+
+
+// ---------------------------------------------------------------------------
+// Certified identity evaluation: IdentityScan::Bounds must enclose the
+// exact expression, and the cross-term kernel must agree across backends.
+
+/// phi(t) = cosh t: a generator subclass the kernels do not know
+/// (GeneratorKind::kGeneric), so phi runs through the virtual path.
+class CoshGenerator final : public ScalarGenerator {
+ public:
+  double Phi(double t) const override { return std::cosh(t); }
+  double PhiPrime(double t) const override { return std::sinh(t); }
+  double PhiPrimeInverse(double s) const override { return std::asinh(s); }
+  bool InDomain(double) const override { return true; }
+  std::string Name() const override { return "cosh"; }
+};
+
+struct BoundCase {
+  std::string label;
+  BregmanDivergence div;
+  bool positive;  // domain t > 0
+};
+
+std::vector<BoundCase> BoundCases(size_t d) {
+  std::vector<BoundCase> out;
+  for (const char* name :
+       {"squared_l2", "itakura_saito", "exponential", "kl", "lp:3"}) {
+    const std::string n(name);
+    out.push_back({n, MakeDivergence(n, d), n == "itakura_saito" || n == "kl"});
+  }
+  std::vector<double> w(d);
+  for (size_t j = 0; j < d; ++j) w[j] = 0.05 + 0.3 * double((j * 7) % 11);
+  out.push_back({"weighted_itakura_saito",
+                 BregmanDivergence(MakeGenerator("itakura_saito"), w), true});
+  out.push_back({"weighted_exponential",
+                 BregmanDivergence(MakeGenerator("exponential"), w), false});
+  out.push_back({"cosh", BregmanDivergence(std::make_shared<CoshGenerator>(), d),
+                 false});
+  return out;
+}
+
+/// One block of points against one query, per input family.
+enum class Family { kRandom, kEqual, kNearlyEqual, kWideMagnitude, kNearOverflow };
+
+void MakeBoundBlock(Family family, bool positive, size_t d, size_t count,
+                    Rng& rng, std::vector<double>* y,
+                    std::vector<std::vector<double>>* xs) {
+  auto draw = [&]() -> double {
+    switch (family) {
+      case Family::kWideMagnitude: {
+        // Log-uniform over [1e-8, 1e8].
+        const double mag = std::pow(10.0, -8.0 + 16.0 * rng.NextDouble());
+        return positive || rng.NextDouble() < 0.5 ? mag : -mag;
+      }
+      case Family::kNearOverflow:  // exp overflows past ~709.78
+        return 700.0 + 12.0 * rng.NextDouble();
+      default:
+        return positive ? 0.25 + 2.0 * rng.NextDouble()
+                        : 4.0 * rng.NextDouble() - 2.0;
+    }
+  };
+  y->resize(d);
+  for (double& v : *y) v = draw();
+  xs->assign(count, std::vector<double>(d));
+  for (auto& x : *xs) {
+    for (size_t j = 0; j < d; ++j) {
+      switch (family) {
+        case Family::kEqual:
+          x[j] = (*y)[j];
+          break;
+        case Family::kNearlyEqual:
+          x[j] = (*y)[j] * (rng.NextDouble() < 0.5 ? 1.0 + 0x1p-40
+                                                    : 1.0 - 0x1p-40);
+          break;
+        default:
+          x[j] = draw();
+      }
+    }
+  }
+}
+
+TEST(IdentityBoundTest, CertifiedIntervalEnclosesTheExactExpression) {
+  const auto backends = UsableBackends();
+  double worst_ratio = 0.0;
+  size_t certified = 0;
+  size_t fell_through = 0;
+  Rng rng(2024);
+  for (size_t d : {size_t{1}, size_t{3}, size_t{16}, size_t{50}}) {
+    // The refine sums M stored tuples; mirror it with 3 contiguous parts.
+    std::vector<std::vector<size_t>> parts(std::min<size_t>(3, d));
+    for (size_t j = 0; j < d; ++j) parts[j * parts.size() / d].push_back(j);
+    for (const BoundCase& c : BoundCases(d)) {
+      for (Family family : {Family::kRandom, Family::kEqual,
+                            Family::kNearlyEqual, Family::kWideMagnitude,
+                            Family::kNearOverflow}) {
+        SCOPED_TRACE(c.label + " d=" + std::to_string(d) + " family " +
+                     std::to_string(static_cast<int>(family)));
+        constexpr size_t kCount = 23;  // odd: exercises the lane tails
+        std::vector<double> y;
+        std::vector<std::vector<double>> xs;
+        MakeBoundBlock(family, c.positive, d, kCount, rng, &y, &xs);
+        std::vector<double> soa(kCount * d);
+        for (size_t i = 0; i < kCount; ++i) {
+          for (size_t j = 0; j < d; ++j) soa[j * kCount + i] = xs[i][j];
+        }
+
+        // Cross terms: bit-identical across backends and to the one-row
+        // loop.
+        std::vector<double> bxy_ref, gx_ref;
+        for (simd::KernelBackend backend : backends) {
+          simd::ForceBackendForTest(backend);
+          const simd::DivergenceScan scan(c.div, y);
+          const simd::IdentityScan identity(scan);
+          std::vector<double> bxy(kCount), gx(kCount);
+          identity.CrossTermsSoA(soa.data(), kCount, bxy.data(), gx.data());
+          if (bxy_ref.empty()) {
+            bxy_ref = bxy;
+            gx_ref = gx;
+          }
+          for (size_t i = 0; i < kCount; ++i) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(bxy[i]),
+                      std::bit_cast<uint64_t>(bxy_ref[i]))
+                << simd::BackendName(backend) << " point " << i;
+            EXPECT_EQ(std::bit_cast<uint64_t>(gx[i]),
+                      std::bit_cast<uint64_t>(gx_ref[i]))
+                << simd::BackendName(backend) << " point " << i;
+            double b1 = 0.0, g1 = 0.0;
+            identity.CrossTerms(xs[i], &b1, &g1);
+            EXPECT_EQ(std::bit_cast<uint64_t>(b1),
+                      std::bit_cast<uint64_t>(bxy[i]));
+            EXPECT_EQ(std::bit_cast<uint64_t>(g1),
+                      std::bit_cast<uint64_t>(gx[i]));
+          }
+        }
+        simd::ClearBackendOverrideForTest();
+
+        const simd::DivergenceScan scan(c.div, y);
+        const simd::IdentityScan identity(scan);
+        for (size_t i = 0; i < kCount; ++i) {
+          const std::vector<double>& x = xs[i];
+          const double d_ref = simd::PairDivergence(
+              c.div.kernel_info(), c.div.generator(), x, y,
+              c.div.weights_span());
+          const PointTuple whole = TransformPoint(c.div, x);
+          PointTuple split;
+          for (const auto& cols : parts) {
+            std::vector<double> sub;
+            for (size_t j : cols) sub.push_back(x[j]);
+            const PointTuple t = TransformPoint(c.div.Restrict(cols), sub);
+            split.alpha += t.alpha;
+            split.alpha_abs += t.alpha_abs;
+          }
+          for (const auto& [tuple, nparts] :
+               {std::pair{whole, size_t{1}}, std::pair{split, parts.size()}}) {
+            const simd::IdentityBounds b = identity.Bounds(
+                tuple.alpha, tuple.alpha_abs, bxy_ref[i], gx_ref[i], nparts);
+            if (std::isnan(b.lo)) {
+              EXPECT_TRUE(std::isnan(b.hi));
+              ++fell_through;
+              continue;
+            }
+            ++certified;
+            ASSERT_TRUE(std::isfinite(d_ref)) << "point " << i;
+            EXPECT_LE(b.lo, d_ref) << "point " << i << " parts " << nparts;
+            EXPECT_GE(b.hi, d_ref) << "point " << i << " parts " << nparts;
+            const double e = 0.5 * (b.hi - b.lo);
+            if (e > 0.0) {
+              worst_ratio =
+                  std::max(worst_ratio, std::fabs(b.lo + e - d_ref) / e);
+            }
+          }
+          // The three-way decision matches the exact comparison on the
+          // boundary itself and one ulp below it.
+          const double exact = scan.One(x);
+          for (double r : {exact, std::nextafter(exact, -HUGE_VAL)}) {
+            uint64_t exact_evals = 0;
+            EXPECT_EQ(identity.WithinRadius(whole.alpha, whole.alpha_abs,
+                                            bxy_ref[i], gx_ref[i], 1, r,
+                                            x.data(), 1, &exact_evals),
+                      exact <= r)
+                << "point " << i << " radius " << r;
+          }
+        }
+      }
+    }
+  }
+  std::printf("[ identity bound ] largest |D_id - D_ref| / E = %.4g over %zu "
+              "certified evaluations; %zu fell through to the exact path\n",
+              worst_ratio, certified, fell_through);
+  EXPECT_GT(certified, 0u);
+  EXPECT_GT(fell_through, 0u);  // the overflow inputs must fall through
+  EXPECT_LE(worst_ratio, 1.0);
 }
 
 }  // namespace
