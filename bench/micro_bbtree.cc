@@ -2,6 +2,8 @@
 /// the theta-projection ball bound, and the pruned-vs-exhaustive kNN
 /// ablation called out in DESIGN.md.
 
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
 #include "api/search_index.h"
@@ -36,17 +38,28 @@ void BM_BregmanKMeans(benchmark::State& state) {
   }
 }
 
+/// The generators the ball arms run, by the `gen` argument: squared L2
+/// (the filter's plain-arithmetic path) and itakura_saito (libm per
+/// coordinate).
+const char* const kBallGenerators[] = {"squared_l2", "itakura_saito"};
+
 /// The ball both bound arms measure: the first 256 rows of Data(512, 32)
-/// under itakura_saito. Every other row lies inside it, where the bound
-/// returns before bisecting, so the queries are those rows scaled by 4
-/// that land outside it.
+/// under the named generator. A query inside the ball returns before
+/// bisecting, so the queries are rows 256-511 scaled by 4 that land
+/// outside it. Each query gets its BallQuery before timing
+/// starts, as a tree search builds one per search, so a timed call is one
+/// node's test.
 struct BallBench {
   Matrix data = Data(512, 32);
-  BregmanDivergence div = MakeDivergence("itakura_saito", 32);
+  BregmanDivergence div;
   BregmanBall ball;
   std::vector<std::vector<double>> queries;
+  std::vector<std::unique_ptr<simd::DivergenceScan>> scans;
+  std::vector<std::unique_ptr<BallQuery>> tests;
+  uint64_t steps = 0;
 
-  BallBench() {
+  explicit BallBench(const char* generator)
+      : div(MakeDivergence(generator, 32)) {
     std::vector<uint32_t> ids(256);
     for (size_t i = 0; i < 256; ++i) ids[i] = uint32_t(i);
     ball.center = div.Mean(data, ids);
@@ -61,43 +74,46 @@ struct BallBench {
         queries.push_back(std::move(y));
       }
     }
+    for (const auto& y : queries) {
+      scans.push_back(std::make_unique<simd::DivergenceScan>(div, y));
+      tests.push_back(
+          std::make_unique<BallQuery>(div, *scans.back(), 40, &steps));
+    }
   }
 };
 
 /// The full bisection: the value form of the bound.
 void BM_BallLowerBound(benchmark::State& state) {
-  const BallBench b;
-  std::vector<double> grad(b.div.dim());
+  BallBench b(kBallGenerators[state.range(0)]);
+  state.SetLabel(kBallGenerators[state.range(0)]);
   size_t q = 0;
   for (auto _ : state) {
-    const auto& y = b.queries[q % b.queries.size()];
-    b.div.Gradient(y, std::span<double>(grad));
-    benchmark::DoNotOptimize(BallDistanceLowerBound(b.div, b.ball, y, grad));
+    benchmark::DoNotOptimize(b.tests[q % b.tests.size()]->LowerBound(b.ball));
     ++q;
   }
+  state.counters["steps"] = double(b.steps) / double(state.iterations());
 }
 
 /// The range decision on the same ball and queries. prune:0 sets the radius
 /// to D(c, y), which the center check keeps; prune:1 to half the lower
 /// bound, which a dual certificate prunes within the first bisection steps.
 void BM_BallMayReachRange(benchmark::State& state) {
-  const BallBench b;
-  std::vector<double> grad(b.div.dim());
+  BallBench b(kBallGenerators[state.range(0)]);
+  state.SetLabel(kBallGenerators[state.range(0)]);
   std::vector<double> radii;
-  for (const auto& y : b.queries) {
-    b.div.Gradient(y, std::span<double>(grad));
-    radii.push_back(state.range(0) == 0
-                        ? b.div.Divergence(b.ball.center, y)
-                        : 0.5 * BallDistanceLowerBound(b.div, b.ball, y, grad));
+  for (size_t i = 0; i < b.queries.size(); ++i) {
+    radii.push_back(state.range(1) == 0
+                        ? b.div.Divergence(b.ball.center, b.queries[i])
+                        : 0.5 * b.tests[i]->LowerBound(b.ball));
   }
+  b.steps = 0;
   size_t q = 0;
   for (auto _ : state) {
     const size_t i = q % b.queries.size();
-    b.div.Gradient(b.queries[i], std::span<double>(grad));
-    benchmark::DoNotOptimize(
-        BallMayReachRange(b.div, b.ball, b.queries[i], grad, radii[i]));
+    benchmark::DoNotOptimize(b.tests[i]->MayReachRange(b.ball, radii[i]));
     ++q;
   }
+  state.counters["steps"] = double(b.steps) / double(state.iterations());
 }
 
 /// Ablation: branch-and-bound kNN vs exhaustive scan on the same data.
@@ -137,8 +153,10 @@ void BM_LinearScanKnn(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_BregmanKMeans)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BallLowerBound);
-BENCHMARK(BM_BallMayReachRange)->ArgName("prune")->Arg(0)->Arg(1);
+BENCHMARK(BM_BallLowerBound)->ArgName("gen")->Arg(0)->Arg(1);
+BENCHMARK(BM_BallMayReachRange)
+    ->ArgNames({"gen", "prune"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 BENCHMARK(BM_BBTreeKnn)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LinearScanKnn)->Unit(benchmark::kMillisecond);
 

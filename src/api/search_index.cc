@@ -43,6 +43,7 @@ void AddTreeWork(const WorkCounters& tree, const IoDelta& io,
   st->nodes_visited += tree.nodes_visited;
   st->candidates += tree.points_evaluated;
   st->exact_evals += tree.exact_evals;
+  st->ball_steps += tree.ball_steps;
 }
 
 Status CheckCommon(const Pager* pager, const Matrix& data,

@@ -148,12 +148,6 @@ int32_t BBTree::Build(std::span<const uint32_t> ids, Rng& rng) {
   return static_cast<int32_t>(nodes_.size() - 1);
 }
 
-double BBTree::NodeLowerBound(const Node& node, std::span<const double> y,
-                              std::span<const double> grad_y) const {
-  return BallDistanceLowerBound(div_, node.ball, y, grad_y,
-                                config_.bound_iters);
-}
-
 std::vector<Neighbor> BBTree::KnnSearch(std::span<const double> y, size_t k,
                                         WorkCounters* stats) const {
   BREP_CHECK(y.size() == div_.dim());
@@ -161,12 +155,11 @@ std::vector<Neighbor> BBTree::KnnSearch(std::span<const double> y, size_t k,
   WorkCounters local;
   WorkCounters& st = stats != nullptr ? *stats : local;
 
-  std::vector<double> grad_y(div_.dim());
-  div_.Gradient(y, std::span<double>(grad_y));
-
   // Query-side scan context: phi(y)/phi'(y) cached once, leaves evaluated
-  // through the batched kernel (byte-identical to per-point Divergence).
+  // through the batched kernel (byte-identical to per-point Divergence)
+  // and balls tested from the same cached values.
   const simd::DivergenceScan scan(div_, y);
+  BallQuery balls(div_, scan, config_.bound_iters, &st.ball_steps);
   std::vector<double> leaf_d;
   leaf_d.reserve(config_.max_leaf_size);
 
@@ -174,8 +167,7 @@ std::vector<Neighbor> BBTree::KnnSearch(std::span<const double> y, size_t k,
   // Best-first branch and bound on (lower bound, node).
   using Entry = std::pair<double, int32_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
-  frontier.emplace(
-      NodeLowerBound(nodes_[root_], y, grad_y), root_);
+  frontier.emplace(balls.LowerBound(nodes_[root_].ball), root_);
 
   while (!frontier.empty()) {
     const auto [lb, idx] = frontier.top();
@@ -193,8 +185,8 @@ std::vector<Neighbor> BBTree::KnnSearch(std::span<const double> y, size_t k,
         ++st.points_evaluated;
       }
     } else {
-      const double lb_left = NodeLowerBound(nodes_[node.left], y, grad_y);
-      const double lb_right = NodeLowerBound(nodes_[node.right], y, grad_y);
+      const double lb_left = balls.LowerBound(nodes_[node.left].ball);
+      const double lb_right = balls.LowerBound(nodes_[node.right].ball);
       if (lb_left < topk.Threshold()) frontier.emplace(lb_left, node.left);
       if (lb_right < topk.Threshold()) frontier.emplace(lb_right, node.right);
     }
@@ -210,10 +202,8 @@ std::vector<uint32_t> BBTree::RangeSearch(std::span<const double> y,
   WorkCounters local;
   WorkCounters& st = stats != nullptr ? *stats : local;
 
-  std::vector<double> grad_y(div_.dim());
-  div_.Gradient(y, std::span<double>(grad_y));
-
   const simd::DivergenceScan scan(div_, y);
+  BallQuery balls(div_, scan, config_.bound_iters, &st.ball_steps);
   std::vector<double> leaf_d;
   leaf_d.reserve(config_.max_leaf_size);
 
@@ -224,10 +214,7 @@ std::vector<uint32_t> BBTree::RangeSearch(std::span<const double> y,
     stack.pop_back();
     const Node& node = nodes_[idx];
     ++st.nodes_visited;
-    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius,
-                           config_.bound_iters)) {
-      continue;
-    }
+    if (!balls.MayReachRange(node.ball, radius)) continue;
     if (node.is_leaf()) {
       ++st.leaves_visited;
       leaf_d.resize(node.ids.size());
@@ -253,8 +240,8 @@ std::vector<uint32_t> BBTree::RangeCandidates(std::span<const double> y,
   WorkCounters local;
   WorkCounters& st = stats != nullptr ? *stats : local;
 
-  std::vector<double> grad_y(div_.dim());
-  div_.Gradient(y, std::span<double>(grad_y));
+  const simd::DivergenceScan scan(div_, y);
+  BallQuery balls(div_, scan, config_.bound_iters, &st.ball_steps);
 
   std::vector<uint32_t> result;
   std::vector<int32_t> stack{root_};
@@ -263,10 +250,7 @@ std::vector<uint32_t> BBTree::RangeCandidates(std::span<const double> y,
     stack.pop_back();
     const Node& node = nodes_[idx];
     ++st.nodes_visited;
-    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius,
-                           config_.bound_iters)) {
-      continue;
-    }
+    if (!balls.MayReachRange(node.ball, radius)) continue;
     if (node.is_leaf()) {
       ++st.leaves_visited;
       result.insert(result.end(), node.ids.begin(), node.ids.end());

@@ -101,8 +101,6 @@ class BBTree {
 
  private:
   int32_t Build(std::span<const uint32_t> ids, Rng& rng);
-  double NodeLowerBound(const Node& node, std::span<const double> y,
-                        std::span<const double> grad_y) const;
 
   const Matrix* data_;
   BregmanDivergence div_;

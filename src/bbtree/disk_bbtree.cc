@@ -347,30 +347,38 @@ void DiskBBTree::WriteField(uint64_t off, T v) {
   WriteBytes(off, std::span<const uint8_t>(raw, sizeof(T)));
 }
 
-DiskBBTree::DiskNode DiskBBTree::ReadNodeHeader(uint64_t off) const {
+void DiskBBTree::ReadNodeHeader(uint64_t off, DiskNode* node,
+                                std::vector<uint8_t>* bytes) const {
   const size_t dim = div_.dim();
   const size_t fixed = NodeFixedBytes();
-  std::vector<uint8_t> head(fixed);
-  ReadBytes(off, fixed, head.data());
+  bytes->resize(fixed);
+  ReadBytes(off, fixed, bytes->data());
+  const uint8_t* head = bytes->data();
 
-  DiskNode node;
   size_t pos = 0;
-  node.is_leaf = head[pos] != 0;
+  node->is_leaf = head[pos] != 0;
   pos += 1;
-  node.count = ReadValue<uint32_t>(&head[pos]);
+  node->count = ReadValue<uint32_t>(&head[pos]);
   pos += 4;
-  node.ball.radius = ReadValue<double>(&head[pos]);
+  node->ball.radius = ReadValue<double>(&head[pos]);
   pos += 8;
-  node.dist_mean = ReadValue<double>(&head[pos]);
+  node->dist_mean = ReadValue<double>(&head[pos]);
   pos += 8;
-  node.dist_std = ReadValue<double>(&head[pos]);
+  node->dist_std = ReadValue<double>(&head[pos]);
   pos += 8;
-  node.ball.center.resize(dim);
-  std::memcpy(node.ball.center.data(), &head[pos], dim * sizeof(double));
+  node->ball.center.resize(dim);
+  std::memcpy(node->ball.center.data(), &head[pos], dim * sizeof(double));
+}
+
+DiskBBTree::DiskNode DiskBBTree::ReadNodeHeader(uint64_t off) const {
+  DiskNode node;
+  std::vector<uint8_t> bytes;
+  ReadNodeHeader(off, &node, &bytes);
   return node;
 }
 
-void DiskBBTree::ReadNodeTail(uint64_t off, DiskNode* node) const {
+void DiskBBTree::ReadNodeTail(uint64_t off, DiskNode* node,
+                              std::vector<uint8_t>* bytes) const {
   const size_t dim = div_.dim();
   const size_t fixed = NodeFixedBytes();
   const uint64_t extent = uint64_t{pages_.size()} * page_size_;
@@ -383,10 +391,10 @@ void DiskBBTree::ReadNodeTail(uint64_t off, DiskNode* node) const {
         "corrupted tree page (leaf payload out of bounds)");
     node->ids.resize(node->count);
     node->points.resize(size_t(node->count) * dim);
-    std::vector<uint8_t> tail(static_cast<size_t>(tail_bytes));
-    ReadBytes(off + fixed, tail.size(), tail.data());
-    std::memcpy(node->ids.data(), tail.data(), 4 * node->count);
-    std::memcpy(node->points.data(), tail.data() + 4 * node->count,
+    bytes->resize(static_cast<size_t>(tail_bytes));
+    ReadBytes(off + fixed, bytes->size(), bytes->data());
+    std::memcpy(node->ids.data(), bytes->data(), 4 * node->count);
+    std::memcpy(node->points.data(), bytes->data() + 4 * node->count,
                 node->points.size() * sizeof(double));
   } else {
     uint8_t tail[16];
@@ -394,6 +402,11 @@ void DiskBBTree::ReadNodeTail(uint64_t off, DiskNode* node) const {
     node->left_off = ReadValue<uint64_t>(&tail[0]);
     node->right_off = ReadValue<uint64_t>(&tail[8]);
   }
+}
+
+void DiskBBTree::ReadNodeTail(uint64_t off, DiskNode* node) const {
+  std::vector<uint8_t> bytes;
+  ReadNodeTail(off, node, &bytes);
 }
 
 DiskBBTree::DiskNode DiskBBTree::ReadNode(uint64_t off) const {
@@ -952,8 +965,10 @@ std::vector<uint32_t> DiskBBTree::RangeCandidates(std::span<const double> y,
   WorkCounters& st = stats != nullptr ? *stats : local;
   if (root_offset_ == kNoNode) return {};
 
-  std::vector<double> grad_y(div_.dim());
-  div_.Gradient(y, std::span<double>(grad_y));
+  const simd::DivergenceScan scan(div_, y);
+  BallQuery balls(div_, scan, bound_iters_, &st.ball_steps);
+  DiskNode node;  // decode buffers reused across the descent
+  std::vector<uint8_t> bytes;
 
   std::vector<uint32_t> result;
   std::vector<uint64_t> stack{root_offset_};
@@ -962,12 +977,10 @@ std::vector<uint32_t> DiskBBTree::RangeCandidates(std::span<const double> y,
     stack.pop_back();
     // Header first: a pruned node never pays for its payload (same I/O fix
     // as the kNN descent); a surviving node continues with just the tail.
-    DiskNode node = ReadNodeHeader(off);
+    ReadNodeHeader(off, &node, &bytes);
     ++st.nodes_visited;
-    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius, bound_iters_)) {
-      continue;
-    }
-    ReadNodeTail(off, &node);
+    if (!balls.MayReachRange(node.ball, radius)) continue;
+    ReadNodeTail(off, &node, &bytes);
     if (node.is_leaf) {
       ++st.leaves_visited;
       result.insert(result.end(), node.ids.begin(), node.ids.end());
@@ -988,9 +1001,6 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(
   WorkCounters& st = stats != nullptr ? *stats : local;
   if (root_offset_ == kNoNode) return {};
 
-  std::vector<double> grad_y(div_.dim());
-  div_.Gradient(y, std::span<double>(grad_y));
-
   // Leaf points are decided through the identity D = a_x + a_y + b_yy +
   // b_xy: the SoA payload streams through the cross-term kernel (one dot
   // product per point, no phi), a_x comes from the tuple table, and only
@@ -1003,18 +1013,19 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(
   std::vector<double> dist;  // exact path
   std::vector<double> bxy;   // identity path
   std::vector<double> gx;
+  BallQuery balls(div_, scan, bound_iters_, &st.ball_steps);
+  DiskNode node;  // decode buffers reused across the descent
+  std::vector<uint8_t> bytes;
 
   std::vector<uint32_t> result;
   std::vector<uint64_t> stack{root_offset_};
   while (!stack.empty()) {
     const uint64_t off = stack.back();
     stack.pop_back();
-    DiskNode node = ReadNodeHeader(off);
+    ReadNodeHeader(off, &node, &bytes);
     ++st.nodes_visited;
-    if (!BallMayReachRange(div_, node.ball, y, grad_y, radius, bound_iters_)) {
-      continue;
-    }
-    ReadNodeTail(off, &node);
+    if (!balls.MayReachRange(node.ball, radius)) continue;
+    ReadNodeTail(off, &node, &bytes);
     if (node.is_leaf) {
       ++st.leaves_visited;
       const size_t count = node.ids.size();
@@ -1025,7 +1036,8 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(
         gx.resize(count);
         identity->CrossTermsSoA(xs, count, bxy.data(), gx.data());
         for (size_t i = 0; i < count; ++i) {
-          BREP_DCHECK(node.ids[i] < tuples.num_points());
+          BREP_CHECK_MSG(node.ids[i] < tuples.num_points(),
+                         "corrupted tree page (leaf id out of range)");
           const PointTuple& t = tuples.At(node.ids[i], partition);
           if (identity->WithinRadius(t.alpha, t.alpha_abs, bxy[i], gx[i],
                                      /*parts=*/1, radius, xs + i, count,
@@ -1061,11 +1073,11 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
   WorkCounters& st = stats != nullptr ? *stats : local;
   if (root_offset_ == kNoNode) return {};
 
-  std::vector<double> grad_y(div_.dim());
-  div_.Gradient(y, std::span<double>(grad_y));
-
-  // phi(y)/phi'(y) cached once for every leaf point fetched below.
+  // phi(y)/phi'(y) cached once for every leaf point fetched and every
+  // ball tested below.
   const simd::DivergenceScan scan(div_, y);
+  BallQuery balls(div_, scan, bound_iters_, &st.ball_steps);
+  std::vector<uint8_t> bytes;  // decode scratch reused across the descent
 
   TopK topk(k);
   // The frontier carries each node's decoded header (read once, at push
@@ -1078,7 +1090,9 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
     bool operator>(const Entry& o) const { return lb > o.lb; }
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
-  frontier.push(Entry{0.0, root_offset_, ReadNodeHeader(root_offset_)});
+  DiskNode root;
+  ReadNodeHeader(root_offset_, &root, &bytes);
+  frontier.push(Entry{0.0, root_offset_, std::move(root)});
 
   while (!frontier.empty()) {
     // Move rather than copy: the entry carries the node's center vector and
@@ -1088,7 +1102,7 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
     frontier.pop();
     if (e.lb >= topk.Threshold()) continue;
     DiskNode node = std::move(e.header);
-    ReadNodeTail(e.off, &node);
+    ReadNodeTail(e.off, &node, &bytes);
     ++st.nodes_visited;
     if (!gate(e.lb, node, topk.Threshold())) continue;
     if (node.is_leaf) {
@@ -1099,12 +1113,11 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
                         ++st.points_evaluated;
                       });
     } else {
-      DiskNode left = ReadNodeHeader(node.left_off);
-      DiskNode right = ReadNodeHeader(node.right_off);
-      const double lb_l =
-          BallDistanceLowerBound(div_, left.ball, y, grad_y, bound_iters_);
-      const double lb_r =
-          BallDistanceLowerBound(div_, right.ball, y, grad_y, bound_iters_);
+      DiskNode left, right;
+      ReadNodeHeader(node.left_off, &left, &bytes);
+      ReadNodeHeader(node.right_off, &right, &bytes);
+      const double lb_l = balls.LowerBound(left.ball);
+      const double lb_r = balls.LowerBound(right.ball);
       if (lb_l < topk.Threshold()) {
         frontier.push(Entry{lb_l, node.left_off, std::move(left)});
       }

@@ -223,11 +223,19 @@ class DiskBBTree {
 
   DiskNode ReadNode(uint64_t offset) const;
   /// Header-only read: the fixed-size prefix (flags, count, radius,
-  /// distance stats, center) -- everything a ball lower bound needs,
-  /// without the leaf payload or child offsets.
+  /// distance stats, center) -- everything a ball test needs, without the
+  /// leaf payload or child offsets. Decodes into `node`'s buffers through
+  /// the byte scratch `bytes` with one ReadBytes, so a search that reuses
+  /// both allocates nothing per node; fields the header does not hold keep
+  /// their old values until ReadNodeTail.
+  void ReadNodeHeader(uint64_t offset, DiskNode* node,
+                      std::vector<uint8_t>* bytes) const;
   DiskNode ReadNodeHeader(uint64_t offset) const;
   /// Complete a header-read node in place: fetch the leaf payload or the
-  /// child offsets. Counts one full node materialization.
+  /// child offsets (one ReadBytes), reusing `node`'s id and point buffers
+  /// and the byte scratch. Counts one full node materialization.
+  void ReadNodeTail(uint64_t offset, DiskNode* node,
+                    std::vector<uint8_t>* bytes) const;
   void ReadNodeTail(uint64_t offset, DiskNode* node) const;
   /// Page-spanning byte fetch through the pool, bounds-checked against the
   /// page table.

@@ -15,7 +15,8 @@ namespace brep {
 ///  * BrePartition kNN / range: as documented per field.
 ///  * The single-tree adapters ("bbtree", "var"): the tree's evaluated leaf
 ///    points are reported as `candidates` (they are refined exactly), with
-///    `nodes_visited` and `io_reads`; the other fields stay 0.
+///    `nodes_visited`, `io_reads`, `exact_evals` and `ball_steps`; the
+///    other fields stay 0.
 ///  * kNN-join: dual-tree node pairs visited -> `nodes_visited`, leaf blocks
 ///    scanned -> `leaves_visited`, pair distances evaluated ->
 ///    `points_evaluated` and `candidates`.
@@ -38,6 +39,10 @@ struct WorkCounters {
   /// of them when the index skips the bound (squared L2; README, "Certified
   /// identity evaluation"). A subset of points_evaluated + candidates.
   uint64_t exact_evals = 0;
+  /// Bisection steps run by the trees' ball tests (BallQuery): one per
+  /// dual-segment point evaluated, in the filter's range descents and the
+  /// kNN descents' node bounds alike.
+  uint64_t ball_steps = 0;
   /// Buffer-pool node-cache hits and misses.
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
@@ -49,6 +54,7 @@ struct WorkCounters {
     leaves_visited += o.leaves_visited;
     points_evaluated += o.points_evaluated;
     exact_evals += o.exact_evals;
+    ball_steps += o.ball_steps;
     pool_hits += o.pool_hits;
     pool_misses += o.pool_misses;
     return *this;

@@ -140,6 +140,64 @@ double PairDivergence(const KernelInfo& info, const ScalarGenerator& g,
   });
 }
 
+void PhiValuesInto(const KernelInfo& info, const ScalarGenerator& g,
+                   std::span<const double> x, std::span<double> phi,
+                   std::span<double> dphi) {
+  WithGenerator(info, g, [&](auto gen) {
+    if (dphi.empty()) {
+      for (size_t j = 0; j < x.size(); ++j) phi[j] = gen.Phi(x[j]);
+    } else {
+      for (size_t j = 0; j < x.size(); ++j) {
+        phi[j] = gen.Phi(x[j]);
+        dphi[j] = gen.PhiPrime(x[j]);
+      }
+    }
+    return 0;
+  });
+}
+
+// StoredPairDivergence(s): textually PairDivergence's loops, once per
+// pair, with gen.Phi and gen.PhiPrime read from storage; keep all three in
+// step.
+double StoredPairDivergence(const StoredPhi& a, const StoredPhi& b,
+                            std::span<const double> w) {
+  BREP_DCHECK(a.x.size() == b.x.size());
+  double acc = 0.0;
+  if (w.empty()) {
+    for (size_t j = 0; j < a.x.size(); ++j) {
+      acc += a.phi[j] - b.phi[j] - b.dphi[j] * (a.x[j] - b.x[j]);
+    }
+  } else {
+    for (size_t j = 0; j < a.x.size(); ++j) {
+      acc += w[j] * (a.phi[j] - b.phi[j] - b.dphi[j] * (a.x[j] - b.x[j]));
+    }
+  }
+  return acc;
+}
+
+DivergencePair StoredPairDivergences(const StoredPhi& a1, const StoredPhi& b1,
+                                     const StoredPhi& a2, const StoredPhi& b2,
+                                     std::span<const double> w) {
+  BREP_DCHECK(a1.x.size() == b1.x.size() && a2.x.size() == a1.x.size() &&
+              b2.x.size() == a1.x.size());
+  double acc1 = 0.0;
+  double acc2 = 0.0;
+  if (w.empty()) {
+    for (size_t j = 0; j < a1.x.size(); ++j) {
+      acc1 += a1.phi[j] - b1.phi[j] - b1.dphi[j] * (a1.x[j] - b1.x[j]);
+      acc2 += a2.phi[j] - b2.phi[j] - b2.dphi[j] * (a2.x[j] - b2.x[j]);
+    }
+  } else {
+    for (size_t j = 0; j < a1.x.size(); ++j) {
+      acc1 += w[j] * (a1.phi[j] - b1.phi[j] -
+                      b1.dphi[j] * (a1.x[j] - b1.x[j]));
+      acc2 += w[j] * (a2.phi[j] - b2.phi[j] -
+                      b2.dphi[j] * (a2.x[j] - b2.x[j]));
+    }
+  }
+  return {acc1, acc2};
+}
+
 void GradientInto(const KernelInfo& info, const ScalarGenerator& g,
                   std::span<const double> x, std::span<const double> w,
                   std::span<double> out) {

@@ -27,6 +27,10 @@ namespace simd {
 ///    evaluate the exact same floating-point expression sequence as the
 ///    legacy virtual loop; they only devirtualize (one kind switch per
 ///    call instead of one virtual call per element).
+///  * StoredPairDivergence(s) evaluate PairDivergence's expression
+///    sequence, textually, on phi values stored once (PhiValuesInto,
+///    DivergenceScan) instead of recomputed per use: the same operations
+///    on the same values, hence the same bits.
 ///  * Batched kernels assign one *point per SIMD lane* and keep each
 ///    point's per-dimension accumulation sequential, so every lane
 ///    performs the identical elementary-operation sequence the scalar
@@ -114,6 +118,39 @@ double PairDivergence(const KernelInfo& info, const ScalarGenerator& g,
                       std::span<const double> x, std::span<const double> y,
                       std::span<const double> w);
 
+/// phi[j] = phi(x_j) and, when `dphi` is non-empty, dphi[j] = phi'(x_j):
+/// the per-coordinate values PairDivergence computes for an argument,
+/// computed once for StoredPairDivergence(s).
+void PhiValuesInto(const KernelInfo& info, const ScalarGenerator& g,
+                   std::span<const double> x, std::span<double> phi,
+                   std::span<double> dphi);
+
+/// A vector with its stored phi values, as PhiValuesInto or DivergenceScan
+/// store them: phi[j] = phi(x_j), dphi[j] = phi'(x_j). `dphi` is read only
+/// when the vector is a second argument.
+struct StoredPhi {
+  std::span<const double> x;
+  std::span<const double> phi;
+  std::span<const double> dphi;
+};
+
+/// PairDivergence(info, g, a.x, b.x, w) from stored values: bit-identical,
+/// unclamped.
+double StoredPairDivergence(const StoredPhi& a, const StoredPhi& b,
+                            std::span<const double> w);
+
+struct DivergencePair {
+  double first;
+  double second;
+};
+
+/// StoredPairDivergence(a1, b1, w) and StoredPairDivergence(a2, b2, w) in
+/// one pass: each sum keeps its own accumulator and order, so both are
+/// bit-identical; the shared pass only overlaps their dependency chains.
+DivergencePair StoredPairDivergences(const StoredPhi& a1, const StoredPhi& b1,
+                                     const StoredPhi& a2, const StoredPhi& b2,
+                                     std::span<const double> w);
+
 /// out_j = w_j phi'(x_j)  (BregmanDivergence::Gradient).
 void GradientInto(const KernelInfo& info, const ScalarGenerator& g,
                   std::span<const double> x, std::span<const double> w,
@@ -154,6 +191,10 @@ class DivergenceScan {
                  size_t count, double* out) const;
 
   size_t dim() const { return y_.size(); }
+  std::span<const double> y() const { return y_; }
+  /// The cached phi(y_j) and phi'(y_j), for StoredPairDivergence(s).
+  std::span<const double> phi_y() const { return phi_y_; }
+  std::span<const double> dphi_y() const { return dphi_y_; }
 
  private:
   friend class IdentityScan;

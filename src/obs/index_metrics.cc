@@ -13,6 +13,7 @@ IndexMetrics RegisterIndexMetrics(MetricRegistry& registry) {
   im.leaves_visited = &registry.GetCounter(kLeavesVisitedTotal);
   im.points_evaluated = &registry.GetCounter(kPointsEvaluatedTotal);
   im.exact_evals = &registry.GetCounter(kExactEvalsTotal);
+  im.ball_steps = &registry.GetCounter(kBallStepsTotal);
   im.knn_latency = &registry.GetHistogram(kKnnLatencyMs);
   im.range_latency = &registry.GetHistogram(kRangeLatencyMs);
   im.bound_latency = &registry.GetHistogram(kBoundLatencyMs);
@@ -45,6 +46,7 @@ void RecordQuery(const IndexMetrics& im, TraceLog& trace,
   im.leaves_visited->AddStripe(stripe, qs.leaves_visited);
   im.points_evaluated->AddStripe(stripe, qs.points_evaluated);
   im.exact_evals->AddStripe(stripe, qs.exact_evals);
+  im.ball_steps->AddStripe(stripe, qs.ball_steps);
 
   LatencyHistogram* const op_latency =
       ctx.op == 'k' ? im.knn_latency : im.range_latency;

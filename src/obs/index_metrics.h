@@ -29,6 +29,7 @@ inline constexpr char kNodesVisitedTotal[] = "brep_nodes_visited_total";
 inline constexpr char kLeavesVisitedTotal[] = "brep_leaves_visited_total";
 inline constexpr char kPointsEvaluatedTotal[] = "brep_points_evaluated_total";
 inline constexpr char kExactEvalsTotal[] = "brep_exact_evals_total";
+inline constexpr char kBallStepsTotal[] = "brep_ball_steps_total";
 inline constexpr char kKnnLatencyMs[] = "brep_knn_latency_ms";
 inline constexpr char kRangeLatencyMs[] = "brep_range_latency_ms";
 inline constexpr char kBoundLatencyMs[] = "brep_bound_latency_ms";
@@ -129,6 +130,7 @@ struct IndexMetrics {
   Counter* leaves_visited = nullptr;
   Counter* points_evaluated = nullptr;
   Counter* exact_evals = nullptr;
+  Counter* ball_steps = nullptr;
   LatencyHistogram* knn_latency = nullptr;
   LatencyHistogram* range_latency = nullptr;
   LatencyHistogram* bound_latency = nullptr;

@@ -56,7 +56,7 @@ void AppendSpan(std::string* out, const char* name, double ms,
 
 std::string FormatQueryTrace(const QueryTraceEntry& e) {
   std::string out;
-  char buf[256];
+  char buf[320];
   if (e.op == 'k') {
     std::snprintf(buf, sizeof(buf),
                   "trace #%llu: knn(k=%zu) -> %zu results in %.3f ms\n",
@@ -90,7 +90,7 @@ std::string FormatQueryTrace(const QueryTraceEntry& e) {
   std::snprintf(buf, sizeof(buf),
                 "  work: io_reads=%llu pool=%llu/%llu hit/miss "
                 "nodes=%llu leaves=%llu candidates=%llu evaluated=%llu "
-                "exact=%llu\n",
+                "exact=%llu steps=%llu\n",
                 (unsigned long long)e.io_reads,
                 (unsigned long long)e.pool_hits,
                 (unsigned long long)e.pool_misses,
@@ -98,7 +98,8 @@ std::string FormatQueryTrace(const QueryTraceEntry& e) {
                 (unsigned long long)e.leaves_visited,
                 (unsigned long long)e.candidates,
                 (unsigned long long)e.points_evaluated,
-                (unsigned long long)e.exact_evals);
+                (unsigned long long)e.exact_evals,
+                (unsigned long long)e.ball_steps);
   out.append(buf);
   return out;
 }

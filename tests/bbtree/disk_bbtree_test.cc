@@ -1,6 +1,7 @@
 #include "bbtree/disk_bbtree.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -76,15 +77,13 @@ ReferenceRange ReferenceRangeDescent(const BBTree& tree,
                                      std::span<const double> y,
                                      double radius) {
   const BregmanDivergence& div = tree.divergence();
-  std::vector<double> grad(div.dim());
-  div.Gradient(y, std::span<double>(grad));
   ReferenceRange ref;
   std::vector<int32_t> stack{tree.root()};
   while (!stack.empty()) {
     const BBTree::Node& node = tree.nodes()[stack.back()];
     stack.pop_back();
     ++ref.stats.nodes_visited;
-    if (BallDistanceLowerBound(div, node.ball, y, grad,
+    if (BallDistanceLowerBound(div, node.ball, y,
                                tree.config().bound_iters) > radius) {
       continue;
     }
@@ -123,6 +122,7 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
         << method;
   };
 
+  uint64_t total_steps = 0;
   for (size_t q = 0; q < queries_.rows(); ++q) {
     const auto y = queries_.Row(q);
     auto dists = scan.AllDistances(y);
@@ -135,29 +135,87 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
       WorkCounters cand_stats = ref.stats;
       cand_stats.points_evaluated = 0;
 
+      // The four descents test the same balls in the same order, so they
+      // also run the same bisection steps.
       WorkCounters st;
       auto got = mem_tree.RangeSearch(y, radius, &st);
       expect_same(got, st, ref.exact, ref.stats, "BBTree::RangeSearch");
+      const uint64_t steps = st.ball_steps;
+      total_steps += steps;
       st = {};
       got = mem_tree.RangeCandidates(y, radius, &st);
       expect_same(got, st, ref.candidates, cand_stats,
                   "BBTree::RangeCandidates");
+      EXPECT_EQ(st.ball_steps, steps) << "BBTree::RangeCandidates";
       st = {};
       got = disk_tree.RangeSearchExact(y, radius, tuples, 0, &st);
       expect_same(got, st, ref.exact, ref.stats,
                   "DiskBBTree::RangeSearchExact");
+      EXPECT_EQ(st.ball_steps, steps) << "DiskBBTree::RangeSearchExact";
       st = {};
       got = disk_tree.RangeCandidates(y, radius, &st);
       expect_same(got, st, ref.candidates, cand_stats,
                   "DiskBBTree::RangeCandidates");
+      EXPECT_EQ(st.ball_steps, steps) << "DiskBBTree::RangeCandidates";
     }
   }
+  EXPECT_GT(total_steps, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Generators, DiskBBTreeTest,
                          ::testing::Values("squared_l2", "itakura_saito",
                                            "exponential"),
                          [](const auto& info) { return info.param; });
+
+TEST(DiskBBTreeCorruptionDeathTest, LeafIdOutOfRangeAborts) {
+  // A leaf id decoded from a tree page indexes the tuple table; a corrupted
+  // one must abort with a message in every build, not read out of bounds.
+  constexpr size_t kDim = 4;
+  const Matrix data = testing::MakeDataFor("itakura_saito", 200, kDim);
+  const BregmanDivergence div = MakeDivergence("itakura_saito", kDim);
+  BBTreeConfig config;
+  config.max_leaf_size = 16;
+  const BBTree mem_tree(data, div, config);
+  const TransformedDataset tuples = TransformedDataset::WholeSpace(data, div);
+  MemPager pager(512);
+  const DiskBBTreeLayout layout = DiskBBTree(&pager, mem_tree).layout();
+
+  // Byte access to the tree's logical address space (slot i of the page
+  // table backs bytes [i*P, (i+1)*P)).
+  const size_t page = pager.page_size();
+  PageBuffer buf;
+  auto read = [&](uint64_t off, void* out, size_t len) {
+    for (size_t i = 0; i < len; ++i) {
+      pager.Read(layout.pages[(off + i) / page], &buf);
+      static_cast<uint8_t*>(out)[i] = buf[(off + i) % page];
+    }
+  };
+  auto write = [&](uint64_t off, const void* in, size_t len) {
+    for (size_t i = 0; i < len; ++i) {
+      const PageId id = layout.pages[(off + i) / page];
+      pager.Read(id, &buf);
+      buf[(off + i) % page] = static_cast<const uint8_t*>(in)[i];
+      pager.Write(id, buf);
+    }
+  };
+  // Node record: is_leaf u8, count u32, radius, mean, std, center, then
+  // the child offsets (interior) or the ids (leaf). Follow left children
+  // to a leaf and overwrite its first id.
+  const size_t fixed = 1 + 4 + 3 * sizeof(double) + kDim * sizeof(double);
+  uint64_t off = layout.root_offset;
+  for (uint8_t is_leaf = 0;;) {
+    read(off, &is_leaf, 1);
+    if (is_leaf != 0) break;
+    read(off + fixed, &off, sizeof(off));
+  }
+  const uint32_t bad_id = static_cast<uint32_t>(data.rows()) + 1000;
+  write(off + fixed, &bad_id, sizeof(bad_id));
+
+  const DiskBBTree reopened(&pager, div, layout);  // fresh buffer pool
+  const double everything = std::numeric_limits<double>::max();
+  EXPECT_DEATH(reopened.RangeSearchExact(data.Row(0), everything, tuples, 0),
+               "leaf id out of range");
+}
 
 TEST(DiskBBTreeIoTest, SearchChargesPageReads) {
   const Matrix data = testing::MakeDataFor("squared_l2", 600, 8);

@@ -211,6 +211,44 @@ TEST_P(KernelEquivalenceTest, SingleVectorPrimitivesMatchVirtualLoops) {
   }
 }
 
+TEST_P(KernelEquivalenceTest, StoredPairDivergencesMatchPairDivergence) {
+  // The ball tests' kernels: phi values stored once, then PairDivergence's
+  // expression over them. Any reordering shows on these inputs.
+  std::vector<double> w(kDim);
+  for (size_t j = 0; j < kDim; ++j) w[j] = 0.25 + 0.5 * double(j % 4);
+  const BregmanDivergence divs[] = {
+      MakeDivergence(GetParam(), kDim),
+      BregmanDivergence(MakeGenerator(GetParam()), std::move(w))};
+  std::vector<double> soa, rows, y;
+  MakeBatch(&soa, &rows, &y);
+
+  for (const BregmanDivergence& div : divs) {
+    const simd::KernelInfo& info = div.kernel_info();
+    const ScalarGenerator& g = div.generator();
+    const auto wts = div.weights_span();
+    const simd::DivergenceScan scan(div, y);
+    const simd::StoredPhi ys{y, scan.phi_y(), scan.dphi_y()};
+    std::vector<double> phi(kDim), dphi(kDim);
+    for (size_t i = 0; i < kCount; ++i) {
+      const auto x = std::span<const double>(rows).subspan(i * kDim, kDim);
+      simd::PhiValuesInto(info, g, x, phi, dphi);
+      for (size_t j = 0; j < kDim; ++j) {
+        EXPECT_EQ(UlpDiff(phi[j], g.Phi(x[j])), 0u) << GetParam();
+        EXPECT_EQ(UlpDiff(dphi[j], g.PhiPrime(x[j])), 0u) << GetParam();
+      }
+      const simd::StoredPhi xs{x, phi, dphi};
+      const double xy = simd::PairDivergence(info, g, x, y, wts);
+      const double yx = simd::PairDivergence(info, g, y, x, wts);
+      EXPECT_EQ(UlpDiff(simd::StoredPairDivergence(xs, ys, wts), xy), 0u)
+          << GetParam() << " point " << i;
+      const simd::DivergencePair both =
+          simd::StoredPairDivergences(xs, ys, ys, xs, wts);
+      EXPECT_EQ(UlpDiff(both.first, xy), 0u) << GetParam() << " point " << i;
+      EXPECT_EQ(UlpDiff(both.second, yx), 0u) << GetParam() << " point " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Zoo, KernelEquivalenceTest,
                          ::testing::Values("squared_l2", "itakura_saito",
                                            "exponential", "kl", "lp:2",

@@ -76,6 +76,7 @@ TEST_F(ObsDeterminismTest, LogicalCountersAreIdenticalAcrossThreadCounts) {
       obs::kKnnQueriesTotal,    obs::kRangeQueriesTotal,
       obs::kCandidatesTotal,    obs::kNodesVisitedTotal,
       obs::kLeavesVisitedTotal, obs::kPointsEvaluatedTotal,
+      obs::kExactEvalsTotal,    obs::kBallStepsTotal,
   };
   for (const char* name : logical) {
     const uint64_t* reference = snaps[0].FindCounter(name);
@@ -120,6 +121,7 @@ TEST_F(ObsDeterminismTest, CountersEqualOracleDerivedWork) {
     oracle.nodes_visited += call.nodes_visited;
     oracle.leaves_visited += call.leaves_visited;
     oracle.points_evaluated += call.points_evaluated;
+    oracle.ball_steps += call.ball_steps;
     oracle.io_reads += call.io_reads;
   }
   const obs::MetricsSnapshot snap = index.Metrics();
@@ -131,6 +133,8 @@ TEST_F(ObsDeterminismTest, CountersEqualOracleDerivedWork) {
             oracle.leaves_visited);
   EXPECT_EQ(*snap.FindCounter(obs::kPointsEvaluatedTotal),
             oracle.points_evaluated);
+  EXPECT_GT(oracle.ball_steps, 0u);
+  EXPECT_EQ(*snap.FindCounter(obs::kBallStepsTotal), oracle.ball_steps);
   // Pager reads: compare as a delta over the serving window (the build
   // itself already issued reads). Single-threaded, so the count is exact.
   EXPECT_EQ(*snap.FindCounter(obs::kPagerReadsTotal) -
