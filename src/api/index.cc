@@ -190,8 +190,7 @@ void RecordJoin(const BrePartition& bp, size_t rows, size_t k,
 Index::Index(std::unique_ptr<Pager> pager, std::unique_ptr<BrePartition> bp)
     : pager_(std::move(pager)), bp_(std::move(bp)) {
   QueryEngineOptions options;
-  options.num_threads = 1;  // sequential reference mode
-  options.parallel_filter = false;
+  options.num_threads = 1;  // sequential, hence re-entrant (see QueryEngine)
   engine_ = std::make_unique<QueryEngine>(*bp_, options);
 }
 
@@ -640,7 +639,7 @@ const BregmanDivergence& Index::divergence() const {
 StatusOr<std::vector<Neighbor>> Index::KnnImpl(std::span<const double> y,
                                                size_t k, Stats* stats) const {
   QueryStats qs;
-  auto result = bp_->KnnSearch(y, k, &qs);
+  auto result = engine_->KnnSearch(y, k, &qs);
   stats->Add(qs);
   return result;
 }

@@ -204,7 +204,8 @@ class Index final : public SearchIndex {
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BrePartition> bp_;
-  /// Sequential reference engine (1 thread) for the range path.
+  /// One-thread engine serving every kNN and range call; its single-query
+  /// entries are re-entrant, so concurrent callers share it.
   std::unique_ptr<QueryEngine> engine_;
   /// Durability state (wal_ stays null until the first checkpoint gives
   /// the log a base to replay against; mutable because Save() const is

@@ -4,12 +4,12 @@
 #include <cmath>
 #include <utility>
 
+#include "api/index.h"
 #include "baselines/linear_scan.h"
 #include "common/timer.h"
 #include "core/brepartition.h"
 #include "core/stats.h"
 #include "divergence/factory.h"
-#include "engine/query_engine.h"
 #include "storage/point_store.h"
 
 namespace brep {
@@ -75,55 +75,6 @@ Status CheckCommon(const Pager* pager, const Matrix& data,
 // Adapters. Each one maps a backend's native call signature and stats
 // struct onto the SearchIndex contract; all argument validation already
 // happened in the public wrappers.
-
-class BrePartitionBackend final : public SearchIndex {
- public:
-  BrePartitionBackend(Pager* pager, const Matrix& data,
-                      const BregmanDivergence& div,
-                      const BrePartitionConfig& config)
-      : bp_(std::make_unique<BrePartition>(pager, data, div, config)) {
-    QueryEngineOptions options;
-    options.num_threads = 1;  // the sequential reference mode
-    options.parallel_filter = false;
-    engine_ = std::make_unique<QueryEngine>(*bp_, options);
-  }
-
-  std::string Describe() const override {
-    return "brepartition(M=" + std::to_string(bp_->num_partitions()) +
-           ", divergence=" + bp_->divergence().Name() + ", " +
-           Shape(bp_->num_points(), bp_->divergence().dim()) + ", exact)";
-  }
-  size_t dim() const override { return bp_->divergence().dim(); }
-  size_t num_points() const override { return bp_->num_points(); }
-  bool exact() const override { return true; }
-  const BrePartition& impl() const { return *bp_; }
-
- protected:
-  const BregmanDivergence* QueryDivergence() const override {
-    return &bp_->divergence();
-  }
-
-  StatusOr<std::vector<Neighbor>> KnnImpl(std::span<const double> y, size_t k,
-                                          Stats* st) const override {
-    QueryStats qs;
-    auto result = bp_->KnnSearch(y, k, &qs);
-    st->Add(qs);
-    return result;
-  }
-
-  StatusOr<std::vector<uint32_t>> RangeImpl(std::span<const double> y,
-                                            double radius,
-                                            Stats* st) const override {
-    QueryStats qs;
-    auto result = engine_->RangeSearch(y, radius, &qs);
-    st->Add(qs);
-    return result;
-  }
-
- private:
-  std::unique_ptr<BrePartition> bp_;
-  std::unique_ptr<QueryEngine> engine_;
-};
 
 class BBTreeBackend final : public SearchIndex {
  public:
@@ -360,8 +311,15 @@ StatusOr<std::unique_ptr<SearchIndex>> MakeBrePartitionBackend(
     const BackendOptions& options) {
   BREP_RETURN_IF_ERROR(
       ValidateBrePartitionConfig(options.brepartition, data, div, pager));
+  // An Index commits catalogs onto its pager, copies all of it on Save and
+  // audits every page of it as its own, so it gets a disk of its own with
+  // the shared pager's page size.
+  IndexOptions index_options;
+  index_options.config = options.brepartition;
+  index_options.page_size = pager->page_size();
+  BREP_ASSIGN_OR_RETURN(Index index, Index::Build(data, div, index_options));
   return std::unique_ptr<SearchIndex>(
-      new BrePartitionBackend(pager, data, div, options.brepartition));
+      std::make_unique<Index>(std::move(index)));
 }
 
 StatusOr<std::unique_ptr<SearchIndex>> MakeBBTreeBackend(

@@ -140,8 +140,8 @@ class SearchIndex {
   /// Insert `point` and return its assigned id. Errors: wrong
   /// dimensionality, a point the divergence cannot evaluate finitely
   /// (outside the domain or overflowing phi), or kFailedPrecondition for
-  /// read-only backends (every baseline adapter; only brep::Index supports
-  /// updates).
+  /// read-only backends (every baseline adapter and "abp"; brep::Index,
+  /// which the registry's "brepartition" builds, supports updates).
   StatusOr<uint32_t> Insert(std::span<const double> point,
                             Stats* stats = nullptr);
 
@@ -207,6 +207,8 @@ std::vector<std::string> RegisteredBackends();
 /// Build the named backend over `data` with divergence `div` on `pager`
 /// (the shared simulated/real disk; may be nullptr for "scan", which never
 /// touches storage). `pager` and `data` must outlive the returned index.
+/// "brepartition" builds a brep::Index, which owns its disk: it takes only
+/// `pager`'s page size and allocates nothing on `pager`.
 /// Errors: unknown backend name (message lists the registry), invalid
 /// configuration, divergence/backend mismatch (KL under "brepartition"/
 /// "abp"), a page size too small to hold one point.

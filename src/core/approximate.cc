@@ -7,6 +7,7 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "engine/query_engine.h"
 
 namespace brep {
 
@@ -25,7 +26,12 @@ ApproximateBrePartition::ApproximateBrePartition(
   const auto rows = rng.SampleWithoutReplacement(n, count);
   sample_ids_.reserve(rows.size());
   for (size_t r : rows) sample_ids_.push_back(static_cast<uint32_t>(r));
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  engine_ = std::make_unique<const QueryEngine>(*exact_, options);
 }
+
+ApproximateBrePartition::~ApproximateBrePartition() = default;
 
 std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
     std::span<const double> y, size_t k, QueryStats* stats) const {
@@ -36,20 +42,22 @@ std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
   st = QueryStats{};
 
   Timer total_timer;
-  const IoStats io_before = exact_->pager()->stats();
+  // One pinned version for the bound and the filter + refine.
+  const BrePartition::ReadView view = exact_->OpenReadView();
+  const TransformedDataset& table = view.transformed();
 
-  // Exact bound phase (identical to BrePartition::KnnSearch).
+  // Exact bound phase (Algorithms 3 + 4, as the engine runs it).
   Timer bound_timer;
   const auto y_subs = exact_->GatherQuery(y);
   const auto triples = exact_->TransformQueryAll(y_subs);
-  const QueryBounds qb = QBDetermine(exact_->transformed(), triples, k);
+  const QueryBounds qb = QBDetermine(table, triples, k);
 
   // Whole-space decomposition of the anchor's bound: kappa + mu.
   const size_t m = triples.size();
   double alpha_x = 0.0, gamma_x = 0.0;
   double alpha_y = 0.0, beta_yy = 0.0, delta_y = 0.0;
   for (size_t mi = 0; mi < m; ++mi) {
-    const PointTuple& t = exact_->transformed().At(qb.anchor_id, mi);
+    const PointTuple& t = table.At(qb.anchor_id, mi);
     alpha_x += t.alpha;
     gamma_x += t.gamma;
     alpha_y += triples[mi].alpha;
@@ -89,9 +97,7 @@ std::vector<Neighbor> ApproximateBrePartition::KnnSearch(
   st.radius_total = qb.total * c;
   st.bound_ms = bound_timer.ElapsedMillis();
 
-  auto result = exact_->FilterAndRefine(y, y_subs, radii, k, &st);
-
-  st.io_reads = (exact_->pager()->stats() - io_before).reads;
+  auto result = engine_->KnnWithRadii(view, y, y_subs, radii, k, &st);
   st.total_ms = total_timer.ElapsedMillis();
   return result;
 }

@@ -2,6 +2,7 @@
 #define BREP_CORE_APPROXIMATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -10,6 +11,8 @@
 #include "core/stats.h"
 
 namespace brep {
+
+class QueryEngine;
 
 /// Configuration of the approximate extension (paper Section 8).
 struct ApproximateConfig {
@@ -36,11 +39,17 @@ struct ApproximateConfig {
 ///
 /// and every partition's exact radius is scaled by c before the filter step.
 /// Smaller p => smaller c => fewer candidates => faster, less accurate.
+///
+/// The filter and refine over the scaled radii are the exact pipeline's
+/// own (QueryEngine::KnnWithRadii, through a one-thread engine this object
+/// owns), so the calls report the same work and storage counters as exact
+/// ones; unlike them, they are not recorded in the index's registry.
 class ApproximateBrePartition {
  public:
   /// `exact` must outlive this object.
   ApproximateBrePartition(const BrePartition* exact,
                           const ApproximateConfig& config);
+  ~ApproximateBrePartition();
 
   /// Approximate kNN with probability guarantee config().probability.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
@@ -52,6 +61,7 @@ class ApproximateBrePartition {
   const BrePartition* exact_;
   ApproximateConfig config_;
   std::vector<uint32_t> sample_ids_;
+  std::unique_ptr<const QueryEngine> engine_;
 };
 
 /// The evaluation's accuracy metric (Section 9.8):

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/pccp.h"
-#include "core/refine.h"
 #include "divergence/factory.h"
 #include "divergence/generators.h"
 #include "divergence/kernels.h"
@@ -678,33 +677,6 @@ std::vector<QueryTriple> BrePartition::TransformQueryAll(
   return triples;
 }
 
-std::vector<Neighbor> BrePartition::FilterAndRefine(
-    std::span<const double> y, std::span<const std::vector<double>> y_subs,
-    std::span<const double> radii, size_t k, QueryStats* stats) const {
-  const ReadView view = OpenReadView();
-  return FilterAndRefineOn(view.forest(), y, y_subs, radii, k, stats);
-}
-
-std::vector<Neighbor> BrePartition::FilterAndRefineOn(
-    const BBForest& forest, std::span<const double> y,
-    std::span<const std::vector<double>> y_subs, std::span<const double> radii,
-    size_t k, QueryStats* stats) const {
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-
-  // Filter: a range query over every subspace tree, exact or
-  // cluster-granularity as the forest's filter mode selects.
-  Timer filter_timer;
-  const std::vector<uint32_t> candidates =
-      forest.RangeCandidatesUnion(y_subs, radii, &st);
-  st.filter_ms += filter_timer.ElapsedMillis();
-
-  Timer refine_timer;
-  auto result = Refiner(forest, div_, y).Knn(candidates, k, &st);
-  st.refine_ms += refine_timer.ElapsedMillis();
-  return result;
-}
-
 void BrePartition::PublishVersionLocked() const {
   Timer publish_timer;
   auto v = std::make_shared<IndexVersion>();
@@ -745,47 +717,6 @@ void BrePartition::DrainRetiredLocked() const {
     if (retired_.empty()) return;
     std::this_thread::yield();
   }
-}
-
-std::vector<Neighbor> BrePartition::KnnSearch(std::span<const double> y,
-                                              size_t k,
-                                              QueryStats* stats) const {
-  // Lock-free against Insert/Delete/Save: the whole query reads one
-  // pinned version; any number of queries and one writer may overlap.
-  const ReadView view = OpenReadView();
-  BREP_CHECK(y.size() == div_.dim());
-  BREP_CHECK(k >= 1);
-  QueryStats local;
-  QueryStats& st = stats != nullptr ? *stats : local;
-  st = QueryStats{};
-  // The facade validates k against num_points() before the pin; a racing
-  // writer may have shrunk the index since. Clamp against the pinned
-  // version instead of aborting the process over a benign race.
-  k = std::min(k, view.num_points());
-  if (k == 0) return {};
-
-  Timer total_timer;
-  const StorageDelta storage(*pager_, view.forest());
-
-  // Bound phase: Algorithms 3 + 4.
-  Timer bound_timer;
-  const auto y_subs = GatherQuery(y);
-  const auto triples = TransformQueryAll(y_subs);
-  const QueryBounds qb = QBDetermine(view.transformed(), triples, k);
-  st.bound_ms = bound_timer.ElapsedMillis();
-  st.radius_total = qb.total;
-
-  auto result = FilterAndRefineOn(view.forest(), y, y_subs, qb.radii, k, &st);
-
-  storage.Into(&st);
-  st.total_ms = total_timer.ElapsedMillis();
-
-  obs::QueryRecordContext ctx;
-  ctx.op = 'k';
-  ctx.k = k;
-  ctx.results = result.size();
-  obs::RecordQuery(im_, trace_, st, ctx, obs::CurrentThreadStripe());
-  return result;
 }
 
 obs::MetricsSnapshot BrePartition::CollectMetricsLocked() const {

@@ -13,12 +13,10 @@
 
 #include "bbtree/bbforest.h"
 #include "common/epoch_gate.h"
-#include "common/top_k.h"
 #include "core/bound.h"
 #include "core/config.h"
 #include "core/optimal_m.h"
 #include "core/partition.h"
-#include "core/stats.h"
 #include "dataset/matrix.h"
 #include "divergence/bregman.h"
 #include "obs/index_metrics.h"
@@ -30,7 +28,10 @@
 namespace brep {
 
 /// The paper's contribution: exact high-dimensional kNN search with Bregman
-/// distances via the partition-filter-refinement framework.
+/// distances via the partition-filter-refinement framework. This class is
+/// the index itself -- construction, published versions and storage;
+/// queries are served by QueryEngine (engine/query_engine.h), which runs
+/// Algorithm 6 against a pinned ReadView.
 ///
 /// Construction (Algorithm 5):
 ///  1. derive the optimized number of partitions M from the fitted cost
@@ -39,12 +40,11 @@ namespace brep {
 ///  3. precompute every point's per-subspace tuple P(x) (Algorithm 2);
 ///  4. build the disk-resident BB-forest over the subspaces (Section 6).
 ///
-/// Search (Algorithm 6): transform the query into per-subspace triples Q(y)
-/// (Algorithm 3), take the k-th smallest total upper bound's components as
-/// per-subspace range radii (Algorithm 4), run the range queries over the
-/// forest (exact by default, cluster-granularity under FilterMode::kCluster),
-/// union the candidates, fetch them from disk and refine exactly. Theorem 3
-/// guarantees the exact kNN is returned.
+/// What a query reads: the per-subspace query triples Q(y) (Algorithm 3,
+/// TransformQueryAll), the tuple table for the searching bound (Algorithm
+/// 4, ReadView::transformed), and the forest for the per-subspace range
+/// filter and the exact refine (ReadView::forest). Theorem 3 guarantees
+/// the union of the range results holds the exact kNN.
 ///
 /// The divergence's generator must be PartitionSafe() (everything but KL).
 /// `data` must outlive the index (it is referenced by the approximate
@@ -164,10 +164,6 @@ class BrePartition {
   /// index constructed from data.
   static std::unique_ptr<BrePartition> Open(Pager* pager,
                                             std::string* error = nullptr);
-
-  /// Exact kNN of `y` (minimizing D(x, y)).
-  std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
-                                  QueryStats* stats = nullptr) const;
 
   /// Dynamic updates (the paper's future-work extension) ----------------
   ///
@@ -310,12 +306,12 @@ class BrePartition {
   bool has_data() const { return data_ != nullptr; }
   const Matrix& data() const;
   /// The WRITER's tuple table. Safe from the writer side (under
-  /// writer_mutex()) or on a frozen index (the approximate extension);
-  /// concurrent readers must use ReadView::transformed() instead.
+  /// writer_mutex()) or while no writer runs; readers use
+  /// ReadView::transformed() instead.
   const TransformedDataset& transformed() const { return transformed_; }
   Pager* pager() const { return pager_; }
 
-  /// Internals shared with the approximate extension -------------------
+  /// The query transform (the bound phase's input) --------------------
 
   /// Per-subspace query subvectors (Algorithm 6 line 2: "rearrange").
   std::vector<std::vector<double>> GatherQuery(std::span<const double> y) const;
@@ -323,13 +319,6 @@ class BrePartition {
   /// Per-subspace query triples (Algorithm 3).
   std::vector<QueryTriple> TransformQueryAll(
       std::span<const std::vector<double>> y_subs) const;
-
-  /// Filter + refine with externally supplied radii (the approximate
-  /// extension shrinks the exact radii before calling this).
-  std::vector<Neighbor> FilterAndRefine(
-      std::span<const double> y,
-      std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, size_t k, QueryStats* stats) const;
 
  private:
   /// Open() path: remaining members are filled from the decoded catalog.
@@ -347,12 +336,6 @@ class BrePartition {
   /// Called before FlushToBase: a version older than the flush could read
   /// post-flush backend bytes through its table's backend references.
   void DrainRetiredLocked() const;
-
-  /// FilterAndRefine body against an explicit version's forest.
-  std::vector<Neighbor> FilterAndRefineOn(
-      const BBForest& forest, std::span<const double> y,
-      std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, size_t k, QueryStats* stats) const;
 
   Pager* pager_ = nullptr;
   const Matrix* data_ = nullptr;
@@ -387,32 +370,6 @@ class BrePartition {
   mutable obs::MetricRegistry registry_;
   obs::IndexMetrics im_ = obs::RegisterIndexMetrics(registry_);
   mutable obs::TraceLog trace_;
-};
-
-/// The storage counters of one call: pager reads and the forest's
-/// buffer-pool traffic since construction. Both are shared by every reader
-/// of the index, so the deltas are approximate when calls overlap.
-class StorageDelta {
- public:
-  StorageDelta(const Pager& pager, const BBForest& forest)
-      : pager_(pager),
-        forest_(forest),
-        io_before_(pager.stats()),
-        pool_before_(forest.pool_traffic()) {}
-
-  /// Overwrite `w`'s io_reads, pool_hits and pool_misses with the deltas.
-  void Into(WorkCounters* w) const {
-    w->io_reads = (pager_.stats() - io_before_).reads;
-    const BBForest::PoolTraffic pool = forest_.pool_traffic();
-    w->pool_hits = pool.hits - pool_before_.hits;
-    w->pool_misses = pool.misses - pool_before_.misses;
-  }
-
- private:
-  const Pager& pager_;
-  const BBForest& forest_;
-  IoStats io_before_;
-  BBForest::PoolTraffic pool_before_;
 };
 
 }  // namespace brep

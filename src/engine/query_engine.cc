@@ -7,6 +7,7 @@
 #include "common/timer.h"
 #include "core/bound.h"
 #include "core/refine.h"
+#include "obs/metrics.h"
 
 namespace brep {
 
@@ -18,18 +19,43 @@ size_t ResolveThreads(size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
+/// The storage counters of one call: pager reads and the forest's
+/// buffer-pool traffic since construction. Both are shared by every reader
+/// of the index, so the deltas are approximate when calls overlap.
+class StorageDelta {
+ public:
+  StorageDelta(const Pager& pager, const BBForest& forest)
+      : pager_(pager),
+        forest_(forest),
+        io_before_(pager.stats()),
+        pool_before_(forest.pool_traffic()) {}
+
+  /// Overwrite `w`'s io_reads, pool_hits and pool_misses with the deltas.
+  void Into(WorkCounters* w) const {
+    w->io_reads = (pager_.stats() - io_before_).reads;
+    const BBForest::PoolTraffic pool = forest_.pool_traffic();
+    w->pool_hits = pool.hits - pool_before_.hits;
+    w->pool_misses = pool.misses - pool_before_.misses;
+  }
+
+ private:
+  const Pager& pager_;
+  const BBForest& forest_;
+  IoStats io_before_;
+  BBForest::PoolTraffic pool_before_;
+};
+
 }  // namespace
 
 QueryEngine::QueryEngine(const BrePartition& index,
                          const QueryEngineOptions& options)
     : index_(&index),
-      options_(options),
       pool_(ResolveThreads(options.num_threads) - 1),
       lanes_(pool_.num_lanes()) {}
 
 std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
     const BBForest& forest, std::span<const std::vector<double>> y_subs,
-    std::span<const double> radii, bool parallel, bool sorted,
+    std::span<const double> radii, bool fan_out, bool sorted,
     WorkCounters* agg) const {
   const size_t m_trees = forest.num_partitions();
   std::vector<std::vector<uint32_t>> per_tree(m_trees);
@@ -40,7 +66,7 @@ std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
     if (sorted) std::sort(per_tree[m].begin(), per_tree[m].end());
   };
 
-  if (parallel && m_trees > 1 && pool_.num_workers() > 0) {
+  if (fan_out && m_trees > 1 && pool_.num_workers() > 0) {
     pool_.ParallelFor(m_trees, [&](size_t m, size_t) { run_tree(m); });
   } else {
     for (size_t m = 0; m < m_trees; ++m) run_tree(m);
@@ -50,33 +76,17 @@ std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
   return per_tree;
 }
 
-std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
-                                          std::span<const double> y, size_t k,
-                                          size_t lane, WorkCounters* lane_work,
-                                          bool parallel_filter,
-                                          QueryStats* qstats) const {
-  // Every query gets full per-query stats -- either the caller's sink or a
-  // local one -- so batched queries feed the latency histograms and the
-  // slow-query log exactly like single calls.
-  QueryStats local;
-  QueryStats& q = qstats != nullptr ? *qstats : local;
-  Timer total_timer;
+std::vector<Neighbor> QueryEngine::FilterRefine(
+    const BrePartition::ReadView& view, std::span<const double> y,
+    std::span<const std::vector<double>> y_subs, std::span<const double> radii,
+    size_t k, bool fan_out, QueryStats* q) const {
   const StorageDelta storage(*index_->pager(), view.forest());
-
-  // Bound phase (Algorithms 3 + 4).
-  Timer bound_timer;
-  const auto y_subs = index_->GatherQuery(y);
-  const auto triples = index_->TransformQueryAll(y_subs);
-  const QueryBounds qb = QBDetermine(view.transformed(), triples, k);
-  q.bound_ms += bound_timer.ElapsedMillis();
-  q.radius_total = qb.total;
 
   // Filter: per-subspace range queries, union of candidates (Theorem 3:
   // a true neighbor's subspace divergences cannot all exceed the radii).
   Timer filter_timer;
-  const auto per_tree = FilterAllTrees(view.forest(), y_subs, qb.radii,
-                                       parallel_filter,
-                                       /*sorted=*/false, &q);
+  const auto per_tree = FilterAllTrees(view.forest(), y_subs, radii, fan_out,
+                                       /*sorted=*/false, q);
   std::vector<uint32_t> candidates;
   {
     size_t total = 0;
@@ -89,29 +99,54 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
   }
-  q.filter_ms += filter_timer.ElapsedMillis();
+  q->filter_ms += filter_timer.ElapsedMillis();
 
   Timer refine_timer;
   auto result =
-      Refiner(view.forest(), index_->divergence(), y).Knn(candidates, k, &q);
-  q.refine_ms += refine_timer.ElapsedMillis();
+      Refiner(view.forest(), index_->divergence(), y).Knn(candidates, k, q);
+  q->refine_ms += refine_timer.ElapsedMillis();
 
-  storage.Into(&q);
+  storage.Into(q);
+  return result;
+}
+
+std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
+                                          std::span<const double> y, size_t k,
+                                          bool fan_out,
+                                          WorkCounters* lane_work,
+                                          QueryStats* qstats) const {
+  // Every query gets full per-query stats -- either the caller's sink or a
+  // local one -- so batched queries feed the latency histograms and the
+  // slow-query log exactly like single calls.
+  QueryStats local;
+  QueryStats& q = qstats != nullptr ? *qstats : local;
+  Timer total_timer;
+
+  // Bound phase (Algorithms 3 + 4).
+  Timer bound_timer;
+  const auto y_subs = index_->GatherQuery(y);
+  const auto triples = index_->TransformQueryAll(y_subs);
+  const QueryBounds qb = QBDetermine(view.transformed(), triples, k);
+  q.bound_ms += bound_timer.ElapsedMillis();
+  q.radius_total = qb.total;
+
+  auto result = FilterRefine(view, y, y_subs, qb.radii, k, fan_out, &q);
+
   q.total_ms = total_timer.ElapsedMillis();
   if (lane_work != nullptr) *lane_work += q;
   obs::QueryRecordContext ctx;
   ctx.op = 'k';
   ctx.k = k;
   ctx.results = result.size();
-  obs::RecordQuery(index_->index_metrics(), index_->trace_log(), q, ctx, lane);
+  obs::RecordQuery(index_->index_metrics(), index_->trace_log(), q, ctx,
+                   obs::CurrentThreadStripe());
   return result;
 }
 
 std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
                                             std::span<const double> y,
-                                            double radius, size_t lane,
+                                            double radius, bool fan_out,
                                             WorkCounters* lane_work,
-                                            bool parallel_filter,
                                             QueryStats* qstats) const {
   QueryStats local;
   QueryStats& q = qstats != nullptr ? *qstats : local;
@@ -123,8 +158,7 @@ std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
   const std::vector<double> radii(m_trees, radius);
 
   Timer filter_timer;
-  const auto per_tree = FilterAllTrees(view.forest(), y_subs, radii,
-                                       parallel_filter,
+  const auto per_tree = FilterAllTrees(view.forest(), y_subs, radii, fan_out,
                                        /*sorted=*/true, &q);
   // Intersection across subspaces: D decomposes into non-negative terms,
   // so D(x, y) <= radius forces D_m(x_m, y_m) <= radius for every m.
@@ -152,7 +186,8 @@ std::vector<uint32_t> QueryEngine::RangeOne(const BrePartition::ReadView& view,
   ctx.op = 'r';
   ctx.radius = radius;
   ctx.results = result.size();
-  obs::RecordQuery(index_->index_metrics(), index_->trace_log(), q, ctx, lane);
+  obs::RecordQuery(index_->index_metrics(), index_->trace_log(), q, ctx,
+                   obs::CurrentThreadStripe());
   return result;
 }
 
@@ -170,8 +205,18 @@ std::vector<Neighbor> QueryEngine::KnnSearch(std::span<const double> y,
   k = std::min(k, view.num_points());
   if (stats != nullptr) *stats = QueryStats{};
   if (k == 0) return {};
-  return KnnOne(view, y, k, pool_.num_workers(), /*lane_work=*/nullptr,
-                options_.parallel_filter, stats);
+  return KnnOne(view, y, k, /*fan_out=*/true, /*lane_work=*/nullptr, stats);
+}
+
+std::vector<Neighbor> QueryEngine::KnnWithRadii(
+    const BrePartition::ReadView& view, std::span<const double> y,
+    std::span<const std::vector<double>> y_subs, std::span<const double> radii,
+    size_t k, QueryStats* stats) const {
+  BREP_CHECK(y.size() == index_->divergence().dim());
+  BREP_CHECK(y_subs.size() == view.forest().num_partitions());
+  BREP_CHECK(radii.size() == y_subs.size());
+  BREP_CHECK(stats != nullptr);
+  return FilterRefine(view, y, y_subs, radii, k, /*fan_out=*/true, stats);
 }
 
 std::vector<uint32_t> QueryEngine::RangeSearch(std::span<const double> y,
@@ -182,8 +227,8 @@ std::vector<uint32_t> QueryEngine::RangeSearch(std::span<const double> y,
   BREP_CHECK(y.size() == index_->divergence().dim());
   BREP_CHECK(radius >= 0.0);
   if (stats != nullptr) *stats = QueryStats{};
-  return RangeOne(view, y, radius, pool_.num_workers(), /*lane_work=*/nullptr,
-                  options_.parallel_filter, stats);
+  return RangeOne(view, y, radius, /*fan_out=*/true, /*lane_work=*/nullptr,
+                  stats);
 }
 
 std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
@@ -204,13 +249,12 @@ std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
   Timer wall;
   if (n == 1) {
     // A lone query still benefits from per-subspace fan-out.
-    results[0] = KnnOne(view, queries.Row(0), k, pool_.num_workers(),
-                        &lanes_[pool_.num_workers()].work,
-                        options_.parallel_filter, nullptr);
+    results[0] = KnnOne(view, queries.Row(0), k, /*fan_out=*/true,
+                        &lanes_[pool_.num_workers()].work, nullptr);
   } else {
     pool_.ParallelFor(n, [&](size_t qi, size_t lane) {
-      results[qi] = KnnOne(view, queries.Row(qi), k, lane, &lanes_[lane].work,
-                           /*parallel_filter=*/false, nullptr);
+      results[qi] = KnnOne(view, queries.Row(qi), k, /*fan_out=*/false,
+                           &lanes_[lane].work, nullptr);
     });
   }
   if (stats != nullptr) {
@@ -235,14 +279,12 @@ std::vector<std::vector<uint32_t>> QueryEngine::RangeSearchBatch(
   const StorageDelta storage(*index_->pager(), view.forest());
   Timer wall;
   if (n == 1) {
-    results[0] = RangeOne(view, queries.Row(0), radius, pool_.num_workers(),
-                          &lanes_[pool_.num_workers()].work,
-                          options_.parallel_filter, nullptr);
+    results[0] = RangeOne(view, queries.Row(0), radius, /*fan_out=*/true,
+                          &lanes_[pool_.num_workers()].work, nullptr);
   } else {
     pool_.ParallelFor(n, [&](size_t qi, size_t lane) {
-      results[qi] = RangeOne(view, queries.Row(qi), radius, lane,
-                             &lanes_[lane].work,
-                             /*parallel_filter=*/false, nullptr);
+      results[qi] = RangeOne(view, queries.Row(qi), radius,
+                             /*fan_out=*/false, &lanes_[lane].work, nullptr);
     });
   }
   if (stats != nullptr) {

@@ -20,29 +20,28 @@ struct QueryEngineOptions {
   /// on the caller (the reference mode every parallel result is checked
   /// against).
   size_t num_threads = 0;
-  /// For single-query calls, fan the per-subspace filter out across the
-  /// pool (one task per subspace tree). Batched calls parallelize across
-  /// queries instead and run each query's filter serially.
-  bool parallel_filter = true;
 };
 
-/// Concurrent serving layer over a BrePartition index.
+/// The exact query pipeline over a BrePartition index, and the only code
+/// that runs one: every exact kNN and range query of Index, ParallelIndex,
+/// the shards and the replicas -- and the approximate extension's filter
+/// and refine -- is served here.
 ///
 /// The paper's query pipeline (Algorithm 6) is bound -> filter -> refine,
 /// and the filter step is embarrassingly parallel: the M subspace trees are
 /// independent read-only structures. The engine exploits that two ways:
 ///
-///  * KnnSearch / RangeSearch (single query): one filter task per subspace
-///    tree, candidate union/intersection merged on the caller.
+///  * KnnSearch / KnnWithRadii / RangeSearch (single query): one filter
+///    task per subspace tree when the engine has workers, candidate
+///    union/intersection merged on the caller.
 ///  * KnnSearchBatch / RangeSearchBatch: one task per query; each query
 ///    runs the full sequential pipeline on one lane, which scales better
 ///    than per-subspace fan-out once the batch is at least as wide as the
 ///    pool.
 ///
-/// Results are byte-identical to the sequential BrePartition::KnnSearch for
-/// every thread count: per-tree search is deterministic, the candidate
-/// union is sorted and deduplicated before refinement, and TopK breaks
-/// distance ties by id.
+/// Results are byte-identical for every thread count: per-tree search is
+/// deterministic, the candidate union is sorted and deduplicated before
+/// refinement, and TopK breaks distance ties by id.
 ///
 /// Consistency: every entry point pins ONE BrePartition::ReadView for the
 /// whole call -- batches included -- so all queries of a batch observe one
@@ -50,14 +49,18 @@ struct QueryEngineOptions {
 /// writer's mutex (reads are lock-free; a churning writer cannot stall
 /// them).
 ///
-/// Thread-safety: concurrent calls into one QueryEngine are not supported
-/// (the engine parallelizes internally and reuses per-lane work slots);
-/// the underlying index IS safe to share between several engines because
-/// DiskBBTree/BufferPool/Pager reads are re-entrant. Caveat when sharing:
-/// `io_reads` and the pool counters in QueryStats are deltas over counters
-/// shared by the whole index, so engines running concurrently over one
-/// index count each other's reads -- results stay exact, but attribute
-/// per-engine I/O only when one engine is active at a time.
+/// Thread-safety: the single-query entries of a one-thread engine
+/// (num_threads = 1) touch neither the pool nor the lane slots, so they
+/// are re-entrant: Index and ReplicaIndex serve all their concurrent
+/// callers through one such engine. Batches, and every call into an
+/// engine with workers, take one call at a time (the engine parallelizes
+/// internally and reuses per-lane work slots). The underlying index IS
+/// safe to share between several engines because DiskBBTree/BufferPool/
+/// Pager reads are re-entrant. Caveat when calls overlap: `io_reads` and
+/// the pool counters in QueryStats are deltas over counters shared by the
+/// whole index, so overlapping calls count each other's reads -- results
+/// stay exact, but attribute per-call I/O only when one call is active at
+/// a time.
 class QueryEngine {
  public:
   /// `index` must outlive the engine.
@@ -75,10 +78,22 @@ class QueryEngine {
   /// caveat as the engine itself: one call at a time.
   ThreadPool& thread_pool() const { return pool_; }
 
-  /// Exact kNN, identical to BrePartition::KnnSearch; the filter phase
-  /// fans out across the pool when parallel_filter is set.
+  /// Exact kNN of `y` (minimizing D(x, y)), recorded into the index's
+  /// registry and trace log. `k` is clamped to the pinned version's live
+  /// points.
   std::vector<Neighbor> KnnSearch(std::span<const double> y, size_t k,
                                   QueryStats* stats = nullptr) const;
+
+  /// The exact pipeline's filter + refine over caller-supplied
+  /// per-subspace radii, for the approximate extension (which scales the
+  /// exact radii, Proposition 1). `view` must be pinned on this engine's
+  /// index and `y_subs` be BrePartition::GatherQuery(y). Adds the filter
+  /// and refine spans and work to `*stats` and sets its storage counters;
+  /// records nothing in the registry.
+  std::vector<Neighbor> KnnWithRadii(
+      const BrePartition::ReadView& view, std::span<const double> y,
+      std::span<const std::vector<double>> y_subs,
+      std::span<const double> radii, size_t k, QueryStats* stats) const;
 
   /// Exact kNN for every row of `queries`, parallel across queries.
   /// `stats`, when supplied, receives the batch aggregate: the queries'
@@ -111,31 +126,37 @@ class QueryEngine {
 
   /// Per-subspace filter over all M trees; returns the per-tree id lists,
   /// each sorted ascending when `sorted` is set (the range path's
-  /// set_intersection needs that; the kNN union re-sorts anyway). Search
-  /// counters are summed into `agg`.
+  /// set_intersection needs that; the kNN union re-sorts anyway). Fans out
+  /// across the pool when `fan_out` is set and the engine has workers.
+  /// Search counters are summed into `agg`.
   std::vector<std::vector<uint32_t>> FilterAllTrees(
       const BBForest& forest, std::span<const std::vector<double>> y_subs,
-      std::span<const double> radii, bool parallel, bool sorted,
+      std::span<const double> radii, bool fan_out, bool sorted,
       WorkCounters* agg) const;
 
-  /// One query's full pipeline, recorded into the registry and the trace.
-  /// `qstats` (zeroed by the caller) receives its measurements. `lane`
-  /// stripes the atomic metric recorders (always safe to share);
-  /// `lane_work` is a batch lane's slot and must be non-null ONLY when the
-  /// caller owns that lane exclusively (batch execution).
+  /// Filter (union of the per-tree results) + refine over `radii`, with
+  /// the storage counters measured around it into `q`.
+  std::vector<Neighbor> FilterRefine(
+      const BrePartition::ReadView& view, std::span<const double> y,
+      std::span<const std::vector<double>> y_subs,
+      std::span<const double> radii, size_t k, bool fan_out,
+      QueryStats* q) const;
+
+  /// One query's full pipeline, recorded into the registry and the trace
+  /// on the calling thread's metric stripe. `qstats` (zeroed by the
+  /// caller) receives its measurements; `lane_work` is a batch lane's slot
+  /// and must be non-null ONLY when the caller owns that lane exclusively
+  /// (batch execution).
   std::vector<Neighbor> KnnOne(const BrePartition::ReadView& view,
                                std::span<const double> y, size_t k,
-                               size_t lane, WorkCounters* lane_work,
-                               bool parallel_filter,
+                               bool fan_out, WorkCounters* lane_work,
                                QueryStats* qstats) const;
   std::vector<uint32_t> RangeOne(const BrePartition::ReadView& view,
                                  std::span<const double> y, double radius,
-                                 size_t lane, WorkCounters* lane_work,
-                                 bool parallel_filter,
+                                 bool fan_out, WorkCounters* lane_work,
                                  QueryStats* qstats) const;
 
   const BrePartition* index_;
-  QueryEngineOptions options_;
   mutable ThreadPool pool_;
   mutable std::vector<LaneWork> lanes_;
 };

@@ -21,7 +21,6 @@ ReplicaIndex::ReplicaIndex(std::unique_ptr<Pager> pager,
       reader_(std::move(transport)) {
   QueryEngineOptions options;
   options.num_threads = 1;
-  options.parallel_filter = false;
   engine_ = std::make_unique<QueryEngine>(*bp_, options);
 }
 
@@ -196,7 +195,7 @@ std::vector<obs::QueryTraceEntry> ReplicaIndex::SlowQueries() const {
 StatusOr<std::vector<Neighbor>> ReplicaIndex::KnnImpl(
     std::span<const double> y, size_t k, Stats* stats) const {
   QueryStats qs;
-  auto result = bp_->KnnSearch(y, k, &qs);
+  auto result = engine_->KnnSearch(y, k, &qs);
   stats->Add(qs);
   return result;
 }

@@ -104,7 +104,8 @@ class ReplicaIndex final : public SearchIndex {
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BrePartition> bp_;
-  /// Sequential reference engine for the range path (mirrors brep::Index).
+  /// One-thread engine serving every kNN and range call (mirrors
+  /// brep::Index); re-entrant, so concurrent callers share it.
   std::unique_ptr<QueryEngine> engine_;
 
   /// Shipping cursor; poll_mutex_ serializes polls (explicit Poll calls vs

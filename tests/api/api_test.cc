@@ -238,7 +238,7 @@ TEST_F(ApiTest, FacadeMatchesImplementationByteForByte) {
     SearchIndex::Stats stats;
     const auto facade = built->Knn(queries_.Row(q), 10, &stats);
     ASSERT_TRUE(facade.ok());
-    const auto direct = bp.KnnSearch(queries_.Row(q), 10);
+    const auto direct = testing::ExactKnn(bp, queries_.Row(q), 10);
     EXPECT_EQ(*facade, direct);  // ids AND distances, bit-exact
     EXPECT_GT(stats.io_reads, 0u);
     EXPECT_GT(stats.candidates, 0u);

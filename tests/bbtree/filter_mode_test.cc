@@ -45,8 +45,9 @@ TEST_F(FilterModeTest, BothModesAreExact) {
   const LinearScan scan(data_, div_);
   for (size_t q = 0; q < queries_.rows(); ++q) {
     const auto truth = scan.KnnSearch(queries_.Row(q), kK);
-    for (const auto& got : {exact_mode.KnnSearch(queries_.Row(q), kK),
-                            cluster_mode.KnnSearch(queries_.Row(q), kK)}) {
+    for (const auto& got :
+         {testing::ExactKnn(exact_mode, queries_.Row(q), kK),
+          testing::ExactKnn(cluster_mode, queries_.Row(q), kK)}) {
       ASSERT_EQ(got.size(), truth.size());
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_NEAR(got[i].distance, truth[i].distance,
@@ -65,8 +66,8 @@ TEST_F(FilterModeTest, ExactRangeProducesNoMoreCandidates) {
   size_t exact_cand = 0, cluster_cand = 0;
   for (size_t q = 0; q < queries_.rows(); ++q) {
     QueryStats a, b;
-    exact_mode.KnnSearch(queries_.Row(q), kK, &a);
-    cluster_mode.KnnSearch(queries_.Row(q), kK, &b);
+    testing::ExactKnn(exact_mode, queries_.Row(q), kK, &a);
+    testing::ExactKnn(cluster_mode, queries_.Row(q), kK, &b);
     exact_cand += a.candidates;
     cluster_cand += b.candidates;
   }

@@ -63,7 +63,7 @@ TEST_F(ApproximateTest, CoefficientAtMostOneAndRadiusShrinks) {
   const auto abp = MakeAbp(0.8);
   for (size_t q = 0; q < 5; ++q) {
     QueryStats exact_stats, approx_stats;
-    exact_.KnnSearch(queries_.Row(q), kK, &exact_stats);
+    testing::ExactKnn(exact_, queries_.Row(q), kK, &exact_stats);
     abp.KnnSearch(queries_.Row(q), kK, &approx_stats);
     EXPECT_LE(approx_stats.approx_coefficient, 1.0);
     EXPECT_GT(approx_stats.approx_coefficient, 0.0);
@@ -90,12 +90,27 @@ TEST_F(ApproximateTest, ApproximateNeverCostsMoreIoThanExact) {
   uint64_t exact_io = 0, approx_io = 0;
   for (size_t q = 0; q < queries_.rows(); ++q) {
     QueryStats es, as;
-    exact_.KnnSearch(queries_.Row(q), kK, &es);
+    testing::ExactKnn(exact_, queries_.Row(q), kK, &es);
     abp.KnnSearch(queries_.Row(q), kK, &as);
     exact_io += es.io_reads;
     approx_io += as.io_reads;
   }
   EXPECT_LE(approx_io, exact_io);
+}
+
+TEST_F(ApproximateTest, ReportsTheStorageCountersOfItsCalls) {
+  const auto abp = MakeAbp(0.9);
+  uint64_t io_reads = 0;
+  for (size_t q = 0; q < 5; ++q) {
+    QueryStats stats;
+    const uint64_t reads_before = pager_.stats().reads;
+    abp.KnnSearch(queries_.Row(q), kK, &stats);
+    EXPECT_EQ(stats.io_reads, pager_.stats().reads - reads_before)
+        << "q=" << q;
+    EXPECT_GT(stats.pool_hits + stats.pool_misses, 0u) << "q=" << q;
+    io_reads += stats.io_reads;
+  }
+  EXPECT_GT(io_reads, 0u);
 }
 
 TEST_F(ApproximateTest, RecallAtHighProbabilityIsHigh) {

@@ -39,7 +39,7 @@ TEST_P(BrePartitionExactnessTest, KnnMatchesLinearScan) {
 
   for (size_t q = 0; q < queries_.rows(); ++q) {
     const auto expected = scan.KnnSearch(queries_.Row(q), k_);
-    const auto got = index.KnnSearch(queries_.Row(q), k_);
+    const auto got = testing::ExactKnn(index, queries_.Row(q), k_);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_NEAR(got[i].distance, expected[i].distance,
@@ -95,7 +95,7 @@ TEST_F(BrePartitionTest, DerivedMIsUsedWhenUnpinned) {
   // Still exact with the derived M.
   const LinearScan scan(data_, div_);
   const auto expected = scan.KnnSearch(queries_.Row(0), 10);
-  const auto got = index.KnnSearch(queries_.Row(0), 10);
+  const auto got = testing::ExactKnn(index, queries_.Row(0), 10);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i].distance, expected[i].distance, 1e-9);
   }
@@ -107,7 +107,7 @@ TEST_F(BrePartitionTest, StatsArePopulated) {
   config.num_partitions = 3;
   const BrePartition index(&pager, data_, div_, config);
   QueryStats stats;
-  index.KnnSearch(queries_.Row(0), 10, &stats);
+  testing::ExactKnn(index, queries_.Row(0), 10, &stats);
   EXPECT_GT(stats.io_reads, 0u);
   EXPECT_GE(stats.candidates, 10u);
   EXPECT_GT(stats.nodes_visited, 0u);
@@ -132,7 +132,7 @@ TEST_F(BrePartitionTest, CandidatesPrunedBelowFullScan) {
   const BrePartition index(&pager, data, div, config);
   for (size_t q = 0; q < queries.rows(); ++q) {
     QueryStats stats;
-    index.KnnSearch(queries.Row(q), 10, &stats);
+    testing::ExactKnn(index, queries.Row(q), 10, &stats);
     EXPECT_LT(stats.candidates, data.rows() / 2);
   }
 }
@@ -157,7 +157,7 @@ TEST_F(BrePartitionTest, WeightedMahalanobisIsExactToo) {
   const LinearScan scan(data_, maha);
   for (size_t q = 0; q < queries_.rows(); ++q) {
     const auto expected = scan.KnnSearch(queries_.Row(q), 5);
-    const auto got = index.KnnSearch(queries_.Row(q), 5);
+    const auto got = testing::ExactKnn(index, queries_.Row(q), 5);
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_NEAR(got[i].distance, expected[i].distance,
                   1e-9 * std::max(1.0, expected[i].distance));
@@ -171,7 +171,7 @@ TEST_F(BrePartitionTest, KEqualsNReturnsEverything) {
   BrePartitionConfig config;
   config.num_partitions = 2;
   const BrePartition index(&pager, small, div_, config);
-  const auto got = index.KnnSearch(queries_.Row(0), 40);
+  const auto got = testing::ExactKnn(index, queries_.Row(0), 40);
   EXPECT_EQ(got.size(), 40u);
 }
 

@@ -63,7 +63,7 @@ TEST_F(QueryEngineTest, BatchMatchesSequentialBBTreeGroundTruth) {
 
 TEST_F(QueryEngineTest, ResultsAreIdenticalAcrossThreadCounts) {
   // Byte-identical results for every thread count, including the
-  // sequential reference engine and the BrePartition path itself.
+  // sequential reference engine's batch and single-query paths.
   const QueryEngine seq = MakeEngine(1);
   const auto reference = seq.KnnSearchBatch(queries_, kK);
   for (size_t threads : {2ul, 3ul, 8ul}) {
@@ -76,7 +76,8 @@ TEST_F(QueryEngineTest, ResultsAreIdenticalAcrossThreadCounts) {
     }
   }
   for (size_t q = 0; q < queries_.rows(); ++q) {
-    EXPECT_TRUE(reference[q] == index_->KnnSearch(queries_.Row(q), kK));
+    EXPECT_TRUE(reference[q] ==
+                testing::ExactKnn(*index_, queries_.Row(q), kK));
   }
 }
 
@@ -86,7 +87,8 @@ TEST_F(QueryEngineTest, SingleQueryParallelFilterMatchesSequential) {
     QueryStats par_stats;
     QueryStats seq_stats;
     const auto got = engine.KnnSearch(queries_.Row(q), kK, &par_stats);
-    const auto expected = index_->KnnSearch(queries_.Row(q), kK, &seq_stats);
+    const auto expected =
+        testing::ExactKnn(*index_, queries_.Row(q), kK, &seq_stats);
     EXPECT_TRUE(got == expected) << "q=" << q;
     // The fan-out performs exactly the sequential filter's logical work.
     EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
@@ -116,7 +118,7 @@ TEST_F(QueryEngineTest, RangeSearchMatchesBruteForce) {
   for (size_t q = 0; q < 4; ++q) {
     const auto y = queries_.Row(q);
     // Radius around the 5th neighbor so results are non-trivial.
-    const double radius = index_->KnnSearch(y, 5).back().distance;
+    const double radius = testing::ExactKnn(*index_, y, 5).back().distance;
     std::vector<uint32_t> expected;
     for (size_t i = 0; i < data_.rows(); ++i) {
       if (div_.Divergence(data_.Row(i), y) <= radius) {
@@ -128,7 +130,8 @@ TEST_F(QueryEngineTest, RangeSearchMatchesBruteForce) {
 }
 
 TEST_F(QueryEngineTest, RangeBatchIdenticalAcrossThreadCounts) {
-  const double radius = index_->KnnSearch(queries_.Row(0), 8).back().distance;
+  const double radius =
+      testing::ExactKnn(*index_, queries_.Row(0), 8).back().distance;
   const auto reference = MakeEngine(1).RangeSearchBatch(queries_, radius);
   QueryStats stats;
   const auto got = MakeEngine(5).RangeSearchBatch(queries_, radius, &stats);
@@ -143,7 +146,7 @@ TEST_F(QueryEngineTest, SingleRowBatchUsesSubspaceFanOut) {
   QueryStats stats;
   const auto batch = MakeEngine(4).KnnSearchBatch(one, kK, &stats);
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_TRUE(batch[0] == index_->KnnSearch(one.Row(0), kK));
+  EXPECT_TRUE(batch[0] == testing::ExactKnn(*index_, one.Row(0), kK));
 }
 
 TEST_F(QueryEngineTest, DefaultThreadCountResolvesToHardware) {

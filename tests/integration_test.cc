@@ -40,7 +40,7 @@ TEST_F(IntegrationTest, AllExactEnginesAgree) {
 
   for (size_t q = 0; q < queries_.rows(); ++q) {
     const auto truth = scan.KnnSearch(queries_.Row(q), kK);
-    for (const auto& got : {bp.KnnSearch(queries_.Row(q), kK),
+    for (const auto& got : {testing::ExactKnn(bp, queries_.Row(q), kK),
                             vaf.KnnSearch(queries_.Row(q), kK),
                             bbt.KnnSearch(queries_.Row(q), kK)}) {
       ASSERT_EQ(got.size(), truth.size());
@@ -93,8 +93,8 @@ TEST_F(IntegrationTest, SharedPagerIsolatesPerQueryIo) {
   config.num_partitions = 4;
   const BrePartition bp(&pager, data_, div_, config);
   QueryStats s1, s2;
-  bp.KnnSearch(queries_.Row(0), kK, &s1);
-  bp.KnnSearch(queries_.Row(1), kK, &s2);
+  testing::ExactKnn(bp, queries_.Row(0), kK, &s1);
+  testing::ExactKnn(bp, queries_.Row(1), kK, &s2);
   EXPECT_GT(s1.io_reads, 0u);
   EXPECT_GT(s2.io_reads, 0u);
 }
@@ -118,7 +118,7 @@ TEST_F(IntegrationTest, MorePartitionsTightenTheBound) {
     size_t candidates = 0;
     for (size_t q = 0; q < queries.rows(); ++q) {
       QueryStats stats;
-      bp.KnnSearch(queries.Row(q), kK, &stats);
+      testing::ExactKnn(bp, queries.Row(q), kK, &stats);
       radius += stats.radius_total;
       candidates += stats.candidates;
     }
@@ -150,7 +150,7 @@ TEST_F(IntegrationTest, PccpBeatsContiguousOnCorrelatedData) {
     uint64_t total = 0;
     for (size_t q = 0; q < queries.rows(); ++q) {
       QueryStats stats;
-      bp.KnnSearch(queries.Row(q), kK, &stats);
+      testing::ExactKnn(bp, queries.Row(q), kK, &stats);
       total += stats.io_reads;
     }
     return total;
@@ -181,7 +181,7 @@ TEST_F(IntegrationTest, BrePartitionBeatsBBTOnIo) {
   uint64_t bp_io = 0, bbt_io = 0;
   for (size_t q = 0; q < queries.rows(); ++q) {
     QueryStats stats;
-    bp.KnnSearch(queries.Row(q), kK, &stats);
+    testing::ExactKnn(bp, queries.Row(q), kK, &stats);
     bp_io += stats.io_reads;
     const IoStats before = pager.stats();
     bbt.KnnSearch(queries.Row(q), kK);
@@ -205,7 +205,7 @@ TEST_F(IntegrationTest, ItakuraSaitoEndToEnd) {
 
   for (size_t q = 0; q < queries.rows(); ++q) {
     const auto truth = scan.KnnSearch(queries.Row(q), 10);
-    const auto exact = bp.KnnSearch(queries.Row(q), 10);
+    const auto exact = testing::ExactKnn(bp, queries.Row(q), 10);
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_NEAR(exact[i].distance, truth[i].distance,
                   1e-9 * std::max(1.0, truth[i].distance));

@@ -75,7 +75,7 @@ TEST_F(PersistenceTest, FileBackedReopenServesIdenticalResultsAcrossThreads) {
     ASSERT_NE(pager, nullptr);
     const BrePartition built(pager.get(), data_, div_, Config());
     for (size_t q = 0; q < queries_.rows(); ++q) {
-      baseline_knn[q] = built.KnnSearch(queries_.Row(q), kK);
+      baseline_knn[q] = testing::ExactKnn(built, queries_.Row(q), kK);
       radii[q] = baseline_knn[q].back().distance;  // guarantees >= k hits
     }
     QueryEngineOptions opt;
@@ -114,7 +114,8 @@ TEST_F(PersistenceTest, FileBackedReopenServesIdenticalResultsAcrossThreads) {
 
   // Sequential path.
   for (size_t q = 0; q < queries_.rows(); ++q) {
-    ExpectIdentical(index->KnnSearch(queries_.Row(q), kK), baseline_knn[q]);
+    ExpectIdentical(testing::ExactKnn(*index, queries_.Row(q), kK),
+                    baseline_knn[q]);
   }
 
   // Engine paths at 1/2/4 threads: single-query and batched, kNN and range.
@@ -150,8 +151,8 @@ TEST_F(PersistenceTest, MemPagerSaveOpenRoundTripsInProcess) {
   EXPECT_EQ(after.forest, before.forest);
 
   for (size_t q = 0; q < queries_.rows(); ++q) {
-    ExpectIdentical(reopened->KnnSearch(queries_.Row(q), kK),
-                    built.KnnSearch(queries_.Row(q), kK));
+    ExpectIdentical(testing::ExactKnn(*reopened, queries_.Row(q), kK),
+                    testing::ExactKnn(built, queries_.Row(q), kK));
   }
 }
 
@@ -193,8 +194,8 @@ TEST_F(PersistenceTest, LpDivergenceParameterRoundTripsExactly) {
 
   const Matrix queries = testing::MakeQueriesFor("lp:3", data, 4);
   for (size_t q = 0; q < queries.rows(); ++q) {
-    ExpectIdentical(reopened->KnnSearch(queries.Row(q), kK),
-                    built.KnnSearch(queries.Row(q), kK));
+    ExpectIdentical(testing::ExactKnn(*reopened, queries.Row(q), kK),
+                    testing::ExactKnn(built, queries.Row(q), kK));
   }
 }
 
@@ -246,7 +247,7 @@ TEST_F(PersistenceTest, ReadOnlyIndexFileServes) {
     ASSERT_NE(pager, nullptr);
     const BrePartition built(pager.get(), data_, div_, Config());
     built.Save();
-    expected = built.KnnSearch(queries_.Row(0), kK);
+    expected = testing::ExactKnn(built, queries_.Row(0), kK);
   }
   ASSERT_EQ(chmod(path.c_str(), 0444), 0);
 
@@ -264,7 +265,7 @@ TEST_F(PersistenceTest, ReadOnlyIndexFileServes) {
     }
     auto index = BrePartition::Open(pager.get(), &error);
     ASSERT_NE(index, nullptr) << error;
-    ExpectIdentical(index->KnnSearch(queries_.Row(0), kK), expected);
+    ExpectIdentical(testing::ExactKnn(*index, queries_.Row(0), kK), expected);
   }
   struct stat after{};
   ASSERT_EQ(stat(path.c_str(), &after), 0);

@@ -2,13 +2,18 @@
 #define BREP_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/top_k.h"
+#include "core/brepartition.h"
+#include "core/stats.h"
 #include "dataset/matrix.h"
 #include "dataset/synthetic.h"
 #include "divergence/factory.h"
+#include "engine/query_engine.h"
 
 namespace brep::testing {
 
@@ -54,6 +59,17 @@ inline std::vector<std::string> PartitionSafeGenerators() {
 /// All generators including KL (whole-space engines only).
 inline std::vector<std::string> AllGenerators() {
   return {"squared_l2", "itakura_saito", "exponential", "kl", "lp:3"};
+}
+
+/// Exact kNN of `y` through a one-thread QueryEngine: the sequential path
+/// every Index, shard and replica serves, and the reference the parallel
+/// engines are checked against.
+inline std::vector<Neighbor> ExactKnn(const BrePartition& index,
+                                      std::span<const double> y, size_t k,
+                                      QueryStats* stats = nullptr) {
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  return QueryEngine(index, options).KnnSearch(y, k, stats);
 }
 
 /// Gtest-safe parameterized-test name for a generator spec ("lp:3" ->

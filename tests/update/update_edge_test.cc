@@ -165,7 +165,7 @@ TEST(UpdateFacadeTest, ValidatesArgumentsAndBackendCapabilities) {
   EXPECT_EQ(index.UpdateStats().inserts, 1u);
   EXPECT_EQ(index.UpdateStats().deletes, 1u);
 
-  // Baseline adapters are read-only.
+  // Baseline adapters are read-only...
   MemPager pager(32 * 1024);
   const BregmanDivergence div = MakeDivergence("itakura_saito", kDim);
   for (const char* backend : {"scan", "bbtree", "vafile"}) {
@@ -176,6 +176,46 @@ TEST(UpdateFacadeTest, ValidatesArgumentsAndBackendCapabilities) {
         << backend;
     EXPECT_EQ((*adapter)->Delete(0).code(), StatusCode::kFailedPrecondition)
         << backend;
+  }
+
+  // ... while the registry's "brepartition" is a whole Index on a disk of
+  // its own: it takes updates, answers them exactly and joins natively.
+  {
+    BackendOptions options;
+    options.brepartition.num_partitions = 3;
+    const size_t shared_pages = pager.num_pages();
+    auto adapter = MakeSearchIndex("brepartition", &pager, data, div, options);
+    ASSERT_TRUE(adapter.ok()) << adapter.status().message();
+    EXPECT_EQ(pager.num_pages(), shared_pages);
+    SearchIndex& bp = **adapter;
+    LinearScanOracle oracle(div);
+    for (uint32_t row = 0; row < data.rows(); ++row) {
+      oracle.Insert(row, data.Row(row));
+    }
+    const auto inserted = bp.Insert(x);
+    ASSERT_TRUE(inserted.ok()) << inserted.status().message();
+    oracle.Insert(*inserted, x);
+    for (const uint32_t gone : {3u, 17u, 40u}) {
+      ASSERT_TRUE(bp.Delete(gone).ok()) << gone;
+      oracle.Delete(gone);
+    }
+    EXPECT_EQ(bp.num_points(), oracle.size());
+    const Matrix queries = testing::MakeQueriesFor("itakura_saito", data, 6);
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      const auto got = bp.Knn(queries.Row(q), 5);
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      const auto want = oracle.Knn(queries.Row(q), 5);
+      ASSERT_EQ(got->size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ((*got)[i].id, want[i].id) << "q=" << q << " i=" << i;
+        EXPECT_EQ((*got)[i].distance, want[i].distance);
+      }
+    }
+    // The per-row fallback join never reports node pairs; the native
+    // dual-tree join always visits at least the root pair.
+    const auto joined = bp.KnnJoin(queries, 3);
+    ASSERT_TRUE(joined.ok()) << joined.status().message();
+    EXPECT_GT(joined->stats.node_pairs_visited, 0u);
   }
 
   // Approximate views pin the index read-only...

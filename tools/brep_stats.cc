@@ -10,7 +10,7 @@
 /// documents leaf by leaf and reports numeric changes with relative deltas
 /// -- the review tool for the checked-in perf trajectory:
 ///
-///   $ ./brep_stats diff BENCH_serving.json /tmp/BENCH_serving.new.json
+///   $ ./brep_stats diff BENCH_join.json /tmp/BENCH_join.new.json
 ///
 /// Exit codes: 0 success (diff: including "documents differ"), 1 usage,
 /// 2 unreadable or malformed input.
