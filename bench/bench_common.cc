@@ -103,8 +103,7 @@ Workload MakeWorkload(const std::string& name, size_t n_override,
     // Paper: 50000 x 200 normal data, ED, 32KB pages. A purely iid normal
     // sample carries no neighborhood structure at laptop scale (every
     // method degenerates to a scan), so the stand-in keeps normal
-    // per-dimension marginals but adds mild mixture structure; see
-    // DESIGN.md section 3.
+    // per-dimension marginals but adds mild mixture structure.
     const size_t d = d_override != 0 ? d_override : 200;
     EnergyProfileSpec spec;
     spec.n = scaled(4000);

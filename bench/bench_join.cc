@@ -117,27 +117,31 @@ int main(int argc, char** argv) {
   }
 
   // --------------------------------------------------------- sampled arm
-  // Served through the facade so the recall measurement exercises the
-  // production path (metrics registry included).
+  // Served through the facade (metrics registry included). The timed call
+  // runs with measure_recall off: below rate 1 a recall measurement also
+  // runs the exact join inside the call. Recall comes from a second,
+  // untimed call with the same sample.
   auto index = Index::Build(data, "squared_l2");
   BREP_CHECK_MSG(index.ok(), index.status().ToString().c_str());
   json::Array sampled_runs;
-  std::printf("\nsampled arm (facade, measured recall):\n");
+  std::printf("\nsampled arm (facade; recall from a separate untimed call):\n");
   PrintHeader({"rate", "wall ms", "recall", "pair evals"});
   for (const double rate : {0.25, 0.5, 1.0}) {
     JoinOptions sampled;
     sampled.sample_rate = rate;
-    sampled.measure_recall = true;
     SearchIndex::Stats stats;
     const auto result = index->KnnJoin(r, k, sampled, &stats);
     BREP_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-    PrintRow({FmtF(rate, 2), FmtF(stats.wall_ms, 1),
-              FmtF(result->stats.sampled_recall, 3),
+    sampled.measure_recall = true;
+    const auto measured = index->KnnJoin(r, k, sampled);
+    BREP_CHECK_MSG(measured.ok(), measured.status().ToString().c_str());
+    const double recall = measured->stats.sampled_recall;
+    PrintRow({FmtF(rate, 2), FmtF(stats.wall_ms, 1), FmtF(recall, 3),
               FmtU(result->stats.pairs_evaluated)});
     json::Object run;
     run.emplace_back("sample_rate", json::Value(rate));
     run.emplace_back("wall_ms", json::Value(stats.wall_ms));
-    run.emplace_back("recall", json::Value(result->stats.sampled_recall));
+    run.emplace_back("recall", json::Value(recall));
     run.emplace_back("pairs_evaluated",
                      json::Value(double(result->stats.pairs_evaluated)));
     sampled_runs.emplace_back(json::Value(std::move(run)));

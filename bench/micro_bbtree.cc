@@ -1,6 +1,7 @@
 /// Microbenchmarks of the BB-tree substrate: Bregman k-means step cost,
 /// the theta-projection ball bound, and the pruned-vs-exhaustive kNN
-/// ablation called out in DESIGN.md.
+/// ablation (BM_BBTreeKnn against BM_LinearScanKnn: the points and time
+/// the ball pruning saves over a scan).
 
 #include <memory>
 

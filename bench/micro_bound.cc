@@ -2,9 +2,10 @@
 /// cost of the O(1) UBCompute against a full divergence evaluation (the
 /// speedup that justifies the filter), the batched UBTotalsBlock kernel
 /// per SIMD backend, QBDetermine end to end, and the measured mean
-/// bound/distance tightness ratio per M (the DESIGN.md "bound tightness
-/// vs M" ablation, reported as a counter). `--json BENCH_kernels.json`
-/// records the bound-kernel trajectory (section "bound_kernels").
+/// bound/distance tightness ratio per M (how much a finer partition
+/// tightens the bound, the premise of Theorem 4's cost model; reported as
+/// a counter). `--json BENCH_kernels.json` records the bound-kernel
+/// trajectory (section "bound_kernels").
 
 #include <benchmark/benchmark.h>
 

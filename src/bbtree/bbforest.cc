@@ -12,8 +12,7 @@ BBForest::BBForest(Pager* pager, const Matrix& data,
                    std::vector<std::vector<size_t>> partitions,
                    const BBForestConfig& config,
                    const TransformedDataset& tuples)
-    : filter_mode_(config.filter_mode),
-      tuples_(&tuples),
+    : tuples_(&tuples),
       pool_pages_(config.pool_pages),
       partitions_(std::move(partitions)) {
   BREP_CHECK(pager != nullptr);
@@ -48,12 +47,10 @@ BBForest::BBForest(Pager* pager, const Matrix& data,
 
 BBForest::BBForest(Pager* pager, const BregmanDivergence& div,
                    std::vector<std::vector<size_t>> partitions,
-                   FilterMode filter_mode, size_t pool_pages,
-                   const PointStoreLayout& store_layout,
+                   size_t pool_pages, const PointStoreLayout& store_layout,
                    std::span<const DiskBBTreeLayout> tree_layouts,
                    const TransformedDataset& tuples)
-    : filter_mode_(filter_mode),
-      tuples_(&tuples),
+    : tuples_(&tuples),
       pool_pages_(pool_pages),
       partitions_(std::move(partitions)) {
   BREP_CHECK(pager != nullptr);
@@ -73,8 +70,7 @@ BBForest::BBForest(Pager* pager, const BregmanDivergence& div,
 
 BBForest::BBForest(const BBForest& writer, const PageSource* src,
                    const TransformedDataset& tuples)
-    : filter_mode_(writer.filter_mode_),
-      tuples_(&tuples),
+    : tuples_(&tuples),
       pool_pages_(writer.pool_pages_),
       partitions_(writer.partitions_) {
   store_ = writer.store_->SnapshotClone(src);
@@ -166,9 +162,7 @@ std::vector<uint32_t> BBForest::FilterTree(size_t m,
                                            double radius,
                                            WorkCounters* stats) const {
   BREP_CHECK(m < trees_.size());
-  return filter_mode_ == FilterMode::kExactRange
-             ? trees_[m]->RangeSearchExact(y_sub, radius, *tuples_, m, stats)
-             : trees_[m]->RangeCandidates(y_sub, radius, stats);
+  return trees_[m]->RangeSearchExact(y_sub, radius, *tuples_, m, stats);
 }
 
 std::vector<uint32_t> BBForest::RangeCandidatesUnion(

@@ -15,24 +15,11 @@
 
 namespace brep {
 
-/// Granularity of the per-subspace range filter.
-enum class FilterMode {
-  /// Exact range search on index pages (Cayton NIPS'09, the algorithm the
-  /// paper adopts): only points whose subspace divergence is within the
-  /// radius become candidates. Default.
-  kExactRange,
-  /// Whole-cluster loading as modelled in the paper's Section 5.1 cost
-  /// analysis: every point of every leaf whose ball intersects the range
-  /// becomes a candidate. Cheaper per node, many more candidates.
-  kCluster,
-};
-
 /// Construction parameters for the BB-forest.
 struct BBForestConfig {
   BBTreeConfig tree;
   /// Buffer-pool pages per disk tree (caches hot index nodes).
   size_t pool_pages = 128;
-  FilterMode filter_mode = FilterMode::kExactRange;
 };
 
 /// The paper's integrated, disk-resident index (Section 6): one disk BB-tree
@@ -63,8 +50,8 @@ class BBForest {
   /// clustering, serialization or pager write happens here (the open path
   /// of a persistent index).
   BBForest(Pager* pager, const BregmanDivergence& div,
-           std::vector<std::vector<size_t>> partitions, FilterMode filter_mode,
-           size_t pool_pages, const PointStoreLayout& store_layout,
+           std::vector<std::vector<size_t>> partitions, size_t pool_pages,
+           const PointStoreLayout& store_layout,
            std::span<const DiskBBTreeLayout> tree_layouts,
            const TransformedDataset& tuples);
 
@@ -113,9 +100,9 @@ class BBForest {
   /// The tuple table this forest is bound to (see the class comment).
   const TransformedDataset& tuples() const { return *tuples_; }
 
-  /// Filter step in subspace `m`: the range query `filter_mode()` selects
-  /// (query subvector `y_sub`, radius `radius`) -- by default the exact
-  /// range search, else the cluster-granularity one. Ids unordered.
+  /// Filter step in subspace `m`: the exact range search of tree `m`
+  /// (DiskBBTree::RangeSearchExact) for query subvector `y_sub` and radius
+  /// `radius`. Ids unordered.
   std::vector<uint32_t> FilterTree(size_t m, std::span<const double> y_sub,
                                    double radius,
                                    WorkCounters* stats = nullptr) const;
@@ -128,7 +115,6 @@ class BBForest {
       std::span<const std::vector<double>> y_subs,
       std::span<const double> radii, WorkCounters* stats = nullptr) const;
 
-  FilterMode filter_mode() const { return filter_mode_; }
   /// Buffer-pool pages per disk tree (persisted so Open restores the same
   /// caching behaviour).
   size_t pool_pages() const { return pool_pages_; }
@@ -158,7 +144,6 @@ class BBForest {
   BBForest(const BBForest& writer, const PageSource* src,
            const TransformedDataset& tuples);
 
-  FilterMode filter_mode_;
   const TransformedDataset* tuples_;
   size_t pool_pages_ = 128;
   std::vector<std::vector<size_t>> partitions_;

@@ -29,11 +29,12 @@ struct BBTreeConfig {
 /// In-memory Bregman Ball tree (Cayton, ICML 2008).
 ///
 /// Built by hierarchical Bregman 2-means; every node carries the Bregman
-/// ball of its points. Supports exact branch-and-bound kNN (Cayton '08),
-/// exact range search and cluster-granularity range candidates (Cayton
-/// NIPS '09, as used by the paper's filter step). This is both a baseline
-/// in its own right and the construction template that DiskBBTree
-/// serializes to the simulated disk.
+/// ball of its points. Immutable once built: it is the construction
+/// template that DiskBBTree serializes to the simulated disk (index
+/// updates then run on the disk trees) and the transient tree pair of the
+/// kNN-join. Its exact branch-and-bound kNN (Cayton '08) and exact range
+/// search (Cayton NIPS '09) serve the join's single-query baseline and
+/// are the in-memory reference the disk trees are tested against.
 ///
 /// The referenced `data` matrix must outlive the tree (the tree stores row
 /// ids, not copies).
@@ -64,33 +65,9 @@ class BBTree {
   std::vector<uint32_t> RangeSearch(std::span<const double> y, double radius,
                                     WorkCounters* stats = nullptr) const;
 
-  /// Cluster-granularity range filter: the union of all points of every
-  /// leaf whose ball may intersect {x : D(x, y) <= radius}. Superset of
-  /// RangeSearch; this is the candidate set the paper's framework loads
-  /// from disk for refinement.
-  std::vector<uint32_t> RangeCandidates(std::span<const double> y,
-                                        double radius,
-                                        WorkCounters* stats = nullptr) const;
-
   /// Point ids in left-to-right leaf order; the BB-forest lays out the
   /// point store in this order (paper Section 6).
   std::vector<uint32_t> LeafOrder() const;
-
-  /// Incremental maintenance (the paper's named future-work item).
-  /// ------------------------------------------------------------------
-  /// Insert row `id` of the data matrix (which must already contain it):
-  /// descends to the closer child at each level, widening every ball on the
-  /// path so containment invariants hold, and splits the target leaf by
-  /// Bregman 2-means when it overflows max_leaf_size. Search correctness is
-  /// unaffected: balls stay valid upper bounds of their subtrees.
-  void Insert(uint32_t id);
-
-  /// Remove a point by id. Returns false if the id is not present. Balls
-  /// are not shrunk (they remain valid, possibly loose, bounds); O(#nodes).
-  bool Delete(uint32_t id);
-
-  /// Number of points currently indexed.
-  size_t size() const { return size_; }
 
   const std::vector<Node>& nodes() const { return nodes_; }
   int32_t root() const { return root_; }
@@ -107,8 +84,6 @@ class BBTree {
   BBTreeConfig config_;
   std::vector<Node> nodes_;
   int32_t root_ = -1;
-  size_t size_ = 0;
-  uint64_t insert_seed_;  // deterministic randomness for overflow splits
 };
 
 }  // namespace brep

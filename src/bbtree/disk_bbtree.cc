@@ -107,7 +107,7 @@ DiskBBTree::DiskBBTree(Pager* pager, const BBTree& tree, size_t pool_pages)
       max_leaf_size_(tree.config().max_leaf_size),
       kmeans_iters_(tree.config().kmeans_iters),
       insert_seed_(tree.config().seed ^ 0xD15CF00DULL),
-      num_points_(tree.size()),
+      num_points_(tree.data().rows()),  // a BBTree indexes every row
       full_node_reads_(std::make_shared<std::atomic<uint64_t>>(0)),
       pool_(std::make_shared<BufferPool>(pager, pool_pages)) {
   BREP_CHECK(pager_ != nullptr);
@@ -542,7 +542,7 @@ void DiskBBTree::SplitLocal(const Matrix& pts,
     (split.assignment[i] == 0 ? left : right)->push_back(local[i]);
   }
   if (!left->empty() && !right->empty()) return;
-  // Degenerate 2-means (the in-memory tree keeps an oversized leaf here):
+  // Degenerate 2-means (BBTree construction keeps an oversized leaf here):
   // split at the median divergence to the center instead, which succeeds
   // whenever the points are not all identical and keeps the disk tree's
   // leaf-occupancy invariant strict.
@@ -628,8 +628,8 @@ void DiskBBTree::Insert(uint32_t id, std::span<const double> x) {
   }
 
   // Descend to the leaf whose center is nearest, widening every ball and
-  // bumping every subtree count on the way (the in-memory tree's
-  // Insert semantics, executed as in-place header field writes).
+  // bumping every subtree count on the way as in-place header field
+  // writes, so every ancestor still covers the new point.
   uint64_t off = root_offset_;
   uint64_t parent_off = kNoNode;
   bool from_left = false;
@@ -683,7 +683,7 @@ void DiskBBTree::InsertIntoLeaf(uint64_t off, uint64_t parent_off,
 
   // Overflow: split by Bregman 2-means, exactly like construction. The
   // leaf's logical position becomes an interior node keeping the (widened)
-  // ball; the two sides are built from scratch, like BBTree::Insert.
+  // ball; the two sides are written from scratch as fresh subtrees.
   Rng rng(insert_seed_++);
   std::vector<uint32_t> global_ids = std::move(leaf.ids);
   const Matrix pts(global_ids.size(), div_.dim(),
@@ -799,7 +799,7 @@ bool DiskBBTree::Delete(uint32_t id, std::span<const double> x) {
   if (!leaf.ids.empty()) {
     if (!TryMergeWithSibling(leaf, path)) {
       // Shrinking rewrite always fits in place. The ball is left as-is: a
-      // valid (possibly loose) cover, like the in-memory tree.
+      // valid (possibly loose) cover of the remaining points.
       WriteBytes(leaf_frame.off, EncodeLeaf(leaf));
     } else {
       ancestors = path.size() - 2;
@@ -955,41 +955,6 @@ void DiskBBTree::DebugCheckInvariants() const {
     BREP_CHECK_MSG(extents[i - 1].second <= extents[i].first,
                    "node records overlap");
   }
-}
-
-std::vector<uint32_t> DiskBBTree::RangeCandidates(std::span<const double> y,
-                                                  double radius,
-                                                  WorkCounters* stats) const {
-  BREP_CHECK(y.size() == div_.dim());
-  WorkCounters local;
-  WorkCounters& st = stats != nullptr ? *stats : local;
-  if (root_offset_ == kNoNode) return {};
-
-  const simd::DivergenceScan scan(div_, y);
-  BallQuery balls(div_, scan, bound_iters_, &st.ball_steps);
-  DiskNode node;  // decode buffers reused across the descent
-  std::vector<uint8_t> bytes;
-
-  std::vector<uint32_t> result;
-  std::vector<uint64_t> stack{root_offset_};
-  while (!stack.empty()) {
-    const uint64_t off = stack.back();
-    stack.pop_back();
-    // Header first: a pruned node never pays for its payload (same I/O fix
-    // as the kNN descent); a surviving node continues with just the tail.
-    ReadNodeHeader(off, &node, &bytes);
-    ++st.nodes_visited;
-    if (!balls.MayReachRange(node.ball, radius)) continue;
-    ReadNodeTail(off, &node, &bytes);
-    if (node.is_leaf) {
-      ++st.leaves_visited;
-      result.insert(result.end(), node.ids.begin(), node.ids.end());
-    } else {
-      stack.push_back(node.left_off);
-      stack.push_back(node.right_off);
-    }
-  }
-  return result;
 }
 
 std::vector<uint32_t> DiskBBTree::RangeSearchExact(

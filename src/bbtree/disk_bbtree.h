@@ -57,18 +57,21 @@ struct DiskBBTreeLayout {
 /// per-subspace filter tasks, or whole queries of a batch) may search one
 /// tree concurrently.
 ///
-/// The tree is also mutable -- Insert/Delete mirror the in-memory BBTree's
-/// incremental-maintenance semantics but operate directly on pages:
+/// The tree is also mutable -- the index's only tree-maintenance path.
+/// Insert/Delete operate directly on pages and keep every ball a valid
+/// cover of its subtree, so searches stay exact:
 ///
 ///  * Insert descends to the closer child, widening every ball header in
 ///    place, and rewrites the target leaf. A leaf that outgrows its byte
 ///    allocation relocates into a fresh page-aligned chunk (pages served
 ///    from the pager's free-list first); an overflowing leaf is split by
-///    Bregman 2-means exactly like the in-memory tree.
-///  * Delete locates the leaf by ball-pruned descent, shrinks it in place,
-///    and collapses an emptied leaf into its sibling, returning chunk pages
-///    to the pager's free-list. Deleting the last point leaves a valid
-///    empty tree (root_offset() == kNoNode) that accepts new inserts.
+///    Bregman 2-means, as BBTree construction splits a node.
+///  * Delete locates the leaf by ball-pruned descent, shrinks it in place
+///    (balls are not shrunk), merges an underflowing leaf with a leaf
+///    sibling, and collapses an emptied leaf into its sibling, returning
+///    chunk pages to the pager's free-list. Deleting the last point leaves
+///    a valid empty tree (root_offset() == kNoNode) that accepts new
+///    inserts.
 ///
 /// Mutations are single-writer and run on the writer's tree instance under
 /// the serving layer's writer mutex; searches run against read-only
@@ -141,12 +144,6 @@ class DiskBBTree {
 
   /// Pages currently referenced (for partition-level page accounting).
   std::vector<PageId> LivePages() const;
-
-  /// Cluster-granularity range filter, as in BBTree::RangeCandidates, with
-  /// node reads charged to the pager (via the pool).
-  std::vector<uint32_t> RangeCandidates(std::span<const double> y,
-                                        double radius,
-                                        WorkCounters* stats = nullptr) const;
 
   /// Exact range search (Cayton NIPS'09, the algorithm the paper adopts for
   /// the filter step): leaves store the subspace vectors, so qualifying

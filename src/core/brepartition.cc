@@ -287,8 +287,11 @@ void BrePartition::SaveLocked(uint64_t durable_lsn) const {
     w.Vec(c);
   }
 
-  // Forest configuration needed at serve time.
-  w.Value<uint8_t>(forest_->filter_mode() == FilterMode::kExactRange ? 0 : 1);
+  // Forest configuration needed at serve time. The leading byte is a
+  // retired filter-mode field, kept so the v3 layout stays unchanged: it is
+  // always written as 0, and Open skips it (both of its values filtered
+  // exactly, so a file saved with either one serves the same answers).
+  w.Value<uint8_t>(0);
   w.Value<uint64_t>(forest_->pool_pages());
 
   // Transformed dataset (Algorithm 2 output; the open path must not redo
@@ -437,8 +440,7 @@ std::unique_ptr<BrePartition> BrePartition::Open(Pager* pager,
     cols.assign(c.begin(), c.end());
   }
 
-  const FilterMode filter_mode =
-      r.Value<uint8_t>() == 0 ? FilterMode::kExactRange : FilterMode::kCluster;
+  (void)r.Value<uint8_t>();  // retired filter-mode byte (see SaveLocked)
   const uint64_t pool_pages = r.Value<uint64_t>();
 
   const uint64_t n = r.Value<uint64_t>();
@@ -640,7 +642,6 @@ std::unique_ptr<BrePartition> BrePartition::Open(Pager* pager,
   index->fit_ = fit;
   index->partitions_ = std::move(partitions);
   index->config_.num_partitions = index->partitions_.size();
-  index->config_.forest.filter_mode = filter_mode;
   index->config_.forest.pool_pages = pool_pages;
   index->sub_divs_.reserve(index->partitions_.size());
   for (const auto& cols : index->partitions_) {
@@ -648,8 +649,8 @@ std::unique_ptr<BrePartition> BrePartition::Open(Pager* pager,
   }
   index->transformed_ = TransformedDataset(n, m, std::move(tuples));
   index->forest_ = std::make_unique<BBForest>(
-      pager, index->div_, index->partitions_, filter_mode, pool_pages,
-      store_layout, tree_layouts, index->transformed_);
+      pager, index->div_, index->partitions_, pool_pages, store_layout,
+      tree_layouts, index->transformed_);
   index->free_ids_ = std::move(free_ids);
   index->live_points_ = live;
   index->PublishVersionLocked();  // version 1: Open is single-threaded

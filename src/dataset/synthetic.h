@@ -18,7 +18,8 @@ namespace brep {
 /// structure (BB-trees exploit it), cross-dimension correlation (PCCP
 /// exploits it), and domain/scale constraints of the paired divergence
 /// (positivity for Itakura-Saito, bounded magnitude for the exponential
-/// distance). See DESIGN.md section 3 for the substitution rationale.
+/// distance). Results measured on these stand-ins are findings on the
+/// stand-ins, not on the paper's datasets.
 
 /// Parameters for a Gaussian-mixture generator with an optional low-rank
 /// factor structure that induces cross-dimension correlations.

@@ -18,8 +18,9 @@ namespace brep {
 /// Weights default to 1 (plain decomposable generator); supplying weights
 /// with the squared-L2 generator gives the paper's squared Mahalanobis
 /// distance with a diagonal matrix Q. A general (non-diagonal) Q would couple
-/// dimensions and break the partitioning framework, so it is intentionally
-/// not representable here (see DESIGN.md section 3).
+/// dimensions and break the partitioning framework (the per-subspace
+/// bounds need a divergence that sums over dimensions), so it is
+/// intentionally not representable here.
 ///
 /// Note D_f is *not* symmetric: by the paper's convention the data point is
 /// the first argument and the query the second, i.e. kNN minimizes

@@ -16,8 +16,9 @@ inline constexpr PageId kInvalidPageId = std::numeric_limits<PageId>::max();
 using PageBuffer = std::vector<uint8_t>;
 
 /// Counters the evaluation uses as its "I/O cost" metric: number of page
-/// reads/writes issued against the simulated disk (see DESIGN.md section 3
-/// for why counting pages reproduces the paper's metric exactly).
+/// reads/writes issued against the simulated disk. The paper reports I/O
+/// cost as a count of page accesses, so counting pages reproduces its
+/// metric exactly, independent of the disk's speed.
 struct IoStats {
   uint64_t reads = 0;
   uint64_t writes = 0;

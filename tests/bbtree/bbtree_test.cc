@@ -1,7 +1,6 @@
 #include "bbtree/bbtree.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <tuple>
 
@@ -78,22 +77,6 @@ TEST_F(BBTreeTest, RangeSearchMatchesLinearScan) {
     auto got = tree.RangeSearch(queries.Row(q), radius);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << "q=" << q;
-  }
-}
-
-TEST_F(BBTreeTest, RangeCandidatesSupersetOfRangeSearch) {
-  const BBTree tree(data_, div_, config_);
-  const LinearScan scan(data_, div_);
-  const Matrix queries = testing::MakeQueriesFor("squared_l2", data_, 10);
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    auto dists = scan.AllDistances(queries.Row(q));
-    const double radius = Quantile(dists, 0.1);
-    const auto exact = tree.RangeSearch(queries.Row(q), radius);
-    auto cands = tree.RangeCandidates(queries.Row(q), radius);
-    const std::set<uint32_t> cand_set(cands.begin(), cands.end());
-    for (uint32_t id : exact) {
-      EXPECT_TRUE(cand_set.count(id)) << "missing id " << id;
-    }
   }
 }
 

@@ -46,30 +46,11 @@ TEST_P(DiskBBTreeTest, KnnMatchesInMemoryTree) {
   }
 }
 
-TEST_P(DiskBBTreeTest, RangeCandidatesMatchInMemoryTree) {
-  MemPager pager(4096);
-  const BBTree mem_tree(data_, div_, tree_config_);
-  const DiskBBTree disk_tree(&pager, mem_tree);
-  const LinearScan scan(data_, div_);
-
-  for (size_t q = 0; q < queries_.rows(); ++q) {
-    auto dists = scan.AllDistances(queries_.Row(q));
-    const double radius = Quantile(dists, 0.1);
-    auto expected = mem_tree.RangeCandidates(queries_.Row(q), radius);
-    auto got = disk_tree.RangeCandidates(queries_.Row(q), radius);
-    std::sort(expected.begin(), expected.end());
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected);
-  }
-}
-
 /// Reference range descent over BBTree::nodes(): the trees' own depth-first
 /// order, pruning with the value form of the ball bound. `exact` holds the
-/// ids within `radius`, `candidates` every id of every kept leaf; `stats`
-/// counts the exact search's work (the candidate descent evaluates no
-/// points).
+/// ids within `radius`; `stats` counts the descent's work.
 struct ReferenceRange {
-  std::vector<uint32_t> exact, candidates;
+  std::vector<uint32_t> exact;
   WorkCounters stats;
 };
 
@@ -91,7 +72,6 @@ ReferenceRange ReferenceRangeDescent(const BBTree& tree,
       ++ref.stats.leaves_visited;
       for (uint32_t id : node.ids) {
         ++ref.stats.points_evaluated;
-        ref.candidates.push_back(id);
         if (div.Divergence(tree.data().Row(id), y) <= radius) {
           ref.exact.push_back(id);
         }
@@ -132,10 +112,8 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
       SCOPED_TRACE("query " + std::to_string(q) + " radius " +
                    std::to_string(radius));
       const ReferenceRange ref = ReferenceRangeDescent(mem_tree, y, radius);
-      WorkCounters cand_stats = ref.stats;
-      cand_stats.points_evaluated = 0;
 
-      // The four descents test the same balls in the same order, so they
+      // The two descents test the same balls in the same order, so they
       // also run the same bisection steps.
       WorkCounters st;
       auto got = mem_tree.RangeSearch(y, radius, &st);
@@ -143,20 +121,10 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
       const uint64_t steps = st.ball_steps;
       total_steps += steps;
       st = {};
-      got = mem_tree.RangeCandidates(y, radius, &st);
-      expect_same(got, st, ref.candidates, cand_stats,
-                  "BBTree::RangeCandidates");
-      EXPECT_EQ(st.ball_steps, steps) << "BBTree::RangeCandidates";
-      st = {};
       got = disk_tree.RangeSearchExact(y, radius, tuples, 0, &st);
       expect_same(got, st, ref.exact, ref.stats,
                   "DiskBBTree::RangeSearchExact");
       EXPECT_EQ(st.ball_steps, steps) << "DiskBBTree::RangeSearchExact";
-      st = {};
-      got = disk_tree.RangeCandidates(y, radius, &st);
-      expect_same(got, st, ref.candidates, cand_stats,
-                  "DiskBBTree::RangeCandidates");
-      EXPECT_EQ(st.ball_steps, steps) << "DiskBBTree::RangeCandidates";
     }
   }
   EXPECT_GT(total_steps, 0u);
@@ -164,8 +132,37 @@ TEST_P(DiskBBTreeTest, RangeDescentsMatchReferencePruning) {
 
 INSTANTIATE_TEST_SUITE_P(Generators, DiskBBTreeTest,
                          ::testing::Values("squared_l2", "itakura_saito",
-                                           "exponential"),
-                         [](const auto& info) { return info.param; });
+                                           "exponential", "lp:3"),
+                         [](const auto& info) {
+                           return testing::GeneratorTestName(info.param);
+                         });
+
+TEST(DiskBBTreeRangeTest, FontsLikeExactRangeMatchesInMemoryRangeSearch) {
+  // The disk tree's leaf-stored subvectors, decided through the certified
+  // identity evaluation, must reproduce the in-memory exact range results
+  // bit for bit on the paper's Fonts-like / Itakura-Saito pairing.
+  constexpr size_t kDim = 32;
+  Rng rng(3);
+  const Matrix data = MakeFontsLike(rng, 1200, kDim);
+  const BregmanDivergence div = MakeDivergence("itakura_saito", kDim);
+  Rng qrng(4);
+  const Matrix queries = MakeQueries(qrng, data, 8, 0.1, true);
+  const BBTree mem_tree(data, div, BBTreeConfig{});
+  MemPager pager(4096);
+  const DiskBBTree disk_tree(&pager, mem_tree);
+  const TransformedDataset tuples = TransformedDataset::WholeSpace(data, div);
+  const LinearScan scan(data, div);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    std::vector<double> dists = scan.AllDistances(queries.Row(q));
+    std::nth_element(dists.begin(), dists.begin() + 30, dists.end());
+    const double radius = dists[30];
+    auto mem = mem_tree.RangeSearch(queries.Row(q), radius);
+    auto disk = disk_tree.RangeSearchExact(queries.Row(q), radius, tuples, 0);
+    std::sort(mem.begin(), mem.end());
+    std::sort(disk.begin(), disk.end());
+    EXPECT_EQ(mem, disk) << "q=" << q;
+  }
+}
 
 TEST(DiskBBTreeCorruptionDeathTest, LeafIdOutOfRangeAborts) {
   // A leaf id decoded from a tree page indexes the tuple table; a corrupted

@@ -137,6 +137,33 @@ TEST_F(BrePartitionTest, CandidatesPrunedBelowFullScan) {
   }
 }
 
+TEST_F(BrePartitionTest, FontsLikeItakuraSaitoMatchesLinearScan) {
+  // The paper's Fonts-like / Itakura-Saito pairing at d = 32 with the
+  // default 64-point leaves: the exact range filter plus the refine must
+  // return the linear-scan kNN.
+  Rng rng(3);
+  const Matrix data = MakeFontsLike(rng, 1200, 32);
+  const BregmanDivergence div = MakeDivergence("itakura_saito", 32);
+  Rng qrng(4);
+  const Matrix queries = MakeQueries(qrng, data, 8, 0.1, true);
+
+  MemPager pager(4096);
+  BrePartitionConfig config;
+  config.num_partitions = 4;
+  const BrePartition index(&pager, data, div, config);
+  const LinearScan scan(data, div);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const auto expected = scan.KnnSearch(queries.Row(q), 10);
+    const auto got = testing::ExactKnn(index, queries.Row(q), 10);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i].distance, expected[i].distance,
+                  1e-9 * std::max(1.0, expected[i].distance))
+          << "q=" << q << " i=" << i;
+    }
+  }
+}
+
 TEST_F(BrePartitionTest, PartitioningIsValidAndSized) {
   MemPager pager(4096);
   BrePartitionConfig config;

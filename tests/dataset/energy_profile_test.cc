@@ -80,8 +80,9 @@ TEST(EnergyProfileTest, GlobalLevelCorrelatesEverything) {
 }
 
 TEST(EnergyProfileTest, CauchyBoundIsTightOnThisModel) {
-  // The point of the model (DESIGN.md section 3): with comparable per-point
-  // coordinate magnitudes, Theorem 1's bound is close to the true distance.
+  // The point of the model: with comparable per-point coordinate
+  // magnitudes (the Cauchy-Schwarz equality condition), Theorem 1's bound
+  // is close to the true distance.
   EnergyProfileSpec spec;
   spec.n = 200;
   spec.d = 32;

@@ -1,6 +1,5 @@
-/// Update edge cases: delete down to an empty tree then re-insert (memory
-/// and disk trees -- the previously latent BBTree::Delete edge left a dead
-/// skeleton behind), and the facade's update argument validation.
+/// Update edge cases: delete down to empty disk trees then re-insert, and
+/// the facade's update argument validation.
 
 #include <algorithm>
 #include <vector>
@@ -9,8 +8,6 @@
 
 #include "api/index.h"
 #include "api/search_index.h"
-#include "baselines/linear_scan.h"
-#include "bbtree/bbtree.h"
 #include "core/brepartition.h"
 #include "storage/pager.h"
 #include "test_util.h"
@@ -21,71 +18,9 @@ namespace {
 
 using testing::LinearScanOracle;
 
-TEST(BBTreeEmptyTreeTest, DeleteToEmptyResetsTheSkeleton) {
-  const Matrix data = testing::MakeDataFor("squared_l2", 200, 6);
-  const BregmanDivergence div = MakeDivergence("squared_l2", 6);
-  BBTreeConfig config;
-  config.max_leaf_size = 8;
-  BBTree tree(data, div, config);
-  ASSERT_GT(tree.nodes().size(), 1u);
-
-  for (uint32_t id = 0; id < 200; ++id) ASSERT_TRUE(tree.Delete(id));
-  EXPECT_EQ(tree.size(), 0u);
-  // The latent edge: the dead skeleton used to survive, so every search
-  // kept walking all stale nodes. An empty tree must be truly empty.
-  EXPECT_TRUE(tree.nodes().empty());
-  EXPECT_EQ(tree.KnnSearch(data.Row(0), 3).size(), 0u);
-  EXPECT_EQ(tree.RangeSearch(data.Row(0), 1.0).size(), 0u);
-  EXPECT_EQ(tree.LeafOrder().size(), 0u);
-  EXPECT_FALSE(tree.Delete(0));  // double delete still cleanly fails
-
-  // Re-insert everything: exactness must match brute force, and the first
-  // re-inserted point must not inherit a ball centered on long-gone data
-  // (its leaf ball is centered on the point itself with radius 0).
-  for (uint32_t id = 0; id < 200; ++id) tree.Insert(id);
-  EXPECT_EQ(tree.size(), 200u);
-  const LinearScan scan(data, div);
-  const Matrix queries = testing::MakeQueriesFor("squared_l2", data, 6);
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto got = tree.KnnSearch(queries.Row(q), 10);
-    const auto want = scan.KnnSearch(queries.Row(q), 10);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].id);
-      EXPECT_EQ(got[i].distance, want[i].distance);
-    }
-  }
-  // Containment invariant after the rebuild-by-inserts.
-  for (const auto& node : tree.nodes()) {
-    if (!node.is_leaf()) continue;
-    for (uint32_t id : node.ids) {
-      EXPECT_LE(div.Divergence(data.Row(id), node.ball.center),
-                node.ball.radius);
-    }
-  }
-}
-
-TEST(BBTreeEmptyTreeTest, SinglePointTreeSurvivesDeleteReinsertCycles) {
-  const Matrix data = testing::MakeDataFor("itakura_saito", 5, 4);
-  const BregmanDivergence div = MakeDivergence("itakura_saito", 4);
-  BBTreeConfig config;
-  const Matrix one = data.Truncated(1);
-  BBTree tree(one, div, config);
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    ASSERT_TRUE(tree.Delete(0));
-    EXPECT_EQ(tree.size(), 0u);
-    tree.Insert(0);
-    EXPECT_EQ(tree.size(), 1u);
-    const auto r = tree.KnnSearch(one.Row(0), 1);
-    ASSERT_EQ(r.size(), 1u);
-    EXPECT_EQ(r[0].id, 0u);
-    EXPECT_EQ(r[0].distance, 0.0);
-  }
-}
-
 TEST(UpdateFacadeTest, DiskTreesSurviveDeleteToEmptyAndRefill) {
-  // Facade-level version of the same edge: the disk trees collapse to
-  // root == kNoNode, return their chunk pages, and rebuild from inserts.
+  // Deleting every point collapses each disk tree to root == kNoNode and
+  // returns its chunk pages; inserts rebuild it from a fresh leaf.
   constexpr size_t kDim = 8;
   const Matrix pool = testing::MakeDataFor("exponential", 300, kDim, 0xED);
   const Matrix initial(
