@@ -53,7 +53,7 @@ int main() {
   // 2. Self-join at k=2: rank 0 is the row itself (distance exactly 0),
   //    rank 1 is its nearest OTHER row -- the duplicate candidate.
   SearchIndex::Stats stats;
-  const auto join = built->KnnJoin(corpus, 2, {}, &stats);
+  const auto join = built->KnnJoin(corpus, 2, &stats);
   if (!join.ok()) {
     std::fprintf(stderr, "join failed: %s\n",
                  join.status().ToString().c_str());

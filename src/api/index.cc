@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/timer.h"
 #include "core/brepartition.h"
 #include "core/stats.h"
@@ -77,14 +76,16 @@ WorkCounters JoinWork(const JoinStats& js) {
   return w;
 }
 
+/// Leaf capacity of the join's transient trees: 64-point leaves hand the
+/// batched SIMD leaf scans whole blocks.
+constexpr size_t kJoinLeafSize = 64;
+
 /// The shared join body of Index and ParallelIndex: pin a read snapshot,
 /// materialize the live point set S from its point store (ascending id
 /// order, so the (distance, id) tie-break matches single queries), run the
-/// dual-tree descent -- over the sampled subset for the approximate arm --
-/// and fold its counters into the facade stats.
+/// dual-tree descent and fold its counters into the facade stats.
 StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
                                         const Matrix& r, size_t k,
-                                        const JoinOptions& options,
                                         ThreadPool* pool,
                                         SearchIndex::Stats* stats) {
   const auto view = bp.OpenReadViewHandle();
@@ -109,43 +110,10 @@ StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
         std::lower_bound(live.begin(), live.end(), id) - live.begin();
     std::copy(x.begin(), x.end(), s_data.begin() + row * d);
   });
-  const Matrix s_all(live.size(), d, std::move(s_data));
+  const Matrix s(live.size(), d, std::move(s_data));
 
-  JoinResult result;
-  if (options.sample_rate < 1.0) {
-    const size_t m = SampledJoinCount(options.sample_rate, live.size());
-    if (k > m) {
-      return Status::InvalidArgument(
-          "k = " + std::to_string(k) + " exceeds the sampled subset (" +
-          std::to_string(m) + " of " + std::to_string(live.size()) +
-          " points)");
-    }
-    Rng rng(options.sample_seed);
-    const std::vector<size_t> pick =
-        rng.SampleWithoutReplacement(live.size(), m);
-    std::vector<uint32_t> s_ids(m);
-    std::vector<double> data(m * d);
-    for (size_t i = 0; i < m; ++i) {
-      s_ids[i] = live[pick[i]];  // pick is sorted, so s_ids stays ascending
-      const std::span<const double> row = s_all.Row(pick[i]);
-      std::copy(row.begin(), row.end(), data.begin() + i * d);
-    }
-    const Matrix s(m, d, std::move(data));
-    result = DualTreeKnnJoin(r, s, s_ids, bp.divergence(), k, options, pool);
-    if (options.measure_recall) {
-      const JoinResult exact =
-          DualTreeKnnJoin(r, s_all, live, bp.divergence(), k, options, pool);
-      result.stats.sampled_recall =
-          MeanJoinRecall(result.neighbors, exact.neighbors);
-    }
-  } else {
-    result =
-        DualTreeKnnJoin(r, s_all, live, bp.divergence(), k, options, pool);
-    // The full point set IS the ground truth: recall is 1 by definition,
-    // reported so measure_recall always yields a measurement.
-    if (options.measure_recall) result.stats.sampled_recall = 1.0;
-  }
-
+  JoinResult result = DualTreeKnnJoin(r, s, live, bp.divergence(), k,
+                                      kJoinLeafSize, pool);
   *stats += JoinWork(result.stats);
   return result;
 }
@@ -165,9 +133,6 @@ void RecordJoin(const BrePartition& bp, size_t rows, size_t k,
                                        result.stats.node_pairs_pruned);
   im.join_leaf_blocks->AddStripe(stripe, result.stats.leaf_blocks);
   im.join_latency->RecordStripe(stripe, total_ms);
-  if (result.stats.sampled_recall >= 0.0) {
-    im.join_sample_recall->Set(result.stats.sampled_recall);
-  }
   obs::TraceLog& trace = bp.trace_log();
   if (total_ms < trace.threshold_ms()) return;
   obs::QueryTraceEntry entry;
@@ -654,12 +619,11 @@ StatusOr<std::vector<uint32_t>> Index::RangeImpl(std::span<const double> y,
 }
 
 StatusOr<JoinResult> Index::KnnJoinImpl(const Matrix& r, size_t k,
-                                        const JoinOptions& options,
                                         Stats* stats) const {
   Timer timer;
   BREP_ASSIGN_OR_RETURN(
       JoinResult result,
-      JoinOnBrePartition(*bp_, r, k, options, /*pool=*/nullptr, stats));
+      JoinOnBrePartition(*bp_, r, k, /*pool=*/nullptr, stats));
   RecordJoin(*bp_, r.rows(), k, result, timer.ElapsedMillis());
   return result;
 }
@@ -837,13 +801,12 @@ StatusOr<std::vector<std::vector<uint32_t>>> ParallelIndex::RangeBatchImpl(
 }
 
 StatusOr<JoinResult> ParallelIndex::KnnJoinImpl(const Matrix& r, size_t k,
-                                                const JoinOptions& options,
                                                 Stats* stats) const {
   Timer timer;
   BREP_ASSIGN_OR_RETURN(
       JoinResult result,
-      JoinOnBrePartition(engine_->index(), r, k, options,
-                         &engine_->thread_pool(), stats));
+      JoinOnBrePartition(engine_->index(), r, k, &engine_->thread_pool(),
+                         stats));
   RecordJoin(engine_->index(), r.rows(), k, result, timer.ElapsedMillis());
   return result;
 }

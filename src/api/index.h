@@ -182,11 +182,10 @@ class Index final : public SearchIndex {
   StatusOr<std::vector<uint32_t>> RangeImpl(std::span<const double> y,
                                             double radius,
                                             Stats* stats) const override;
-  /// Native dual-tree join over a pinned read snapshot (exact and sampled
-  /// arms; see join/dual_tree.h). Sequential descent; Parallel() handles
-  /// run the same descent over their pool.
+  /// Native dual-tree join over a pinned read snapshot (see
+  /// join/dual_tree.h). Sequential descent; Parallel() handles run the
+  /// same descent over their pool.
   StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
-                                   const JoinOptions& options,
                                    Stats* stats) const override;
   /// Dynamic updates: route through BrePartition under its exclusive
   /// update lock (QueryEngine readers hold the shared side), so Parallel()
@@ -309,7 +308,6 @@ class ParallelIndex final : public SearchIndex {
   /// over the engine's worker pool (byte-identical results at any thread
   /// count by construction).
   StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
-                                   const JoinOptions& options,
                                    Stats* stats) const override;
 
  private:

@@ -572,7 +572,6 @@ StatusOr<std::vector<std::vector<uint32_t>>> SearchIndex::RangeBatch(
 }
 
 StatusOr<JoinResult> SearchIndex::KnnJoin(const Matrix& r, size_t k,
-                                          const JoinOptions& options,
                                           Stats* stats) const {
   Stats local;
   Stats& st = stats != nullptr ? *stats : local;
@@ -591,26 +590,13 @@ StatusOr<JoinResult> SearchIndex::KnnJoin(const Matrix& r, size_t k,
         "k = " + std::to_string(k) + " exceeds the number of indexed points (" +
         std::to_string(num_points()) + ")");
   }
-  if (!std::isfinite(options.sample_rate) || !(options.sample_rate > 0.0) ||
-      options.sample_rate > 1.0) {
-    return Status::InvalidArgument(
-        "join sample_rate must be in (0, 1], got " +
-        std::to_string(options.sample_rate));
-  }
-  const size_t sampled = SampledJoinCount(options.sample_rate, num_points());
-  if (k > sampled) {
-    return Status::InvalidArgument(
-        "k = " + std::to_string(k) + " exceeds the sampled subset (" +
-        std::to_string(sampled) + " of " + std::to_string(num_points()) +
-        " points at sample_rate " + std::to_string(options.sample_rate) + ")");
-  }
   for (size_t q = 0; q < r.rows(); ++q) {
     BREP_RETURN_IF_ERROR(
         CheckEvaluable(r.Row(q), "join query row " + std::to_string(q)));
   }
   st.queries = r.rows();
   Timer timer;
-  auto result = KnnJoinImpl(r, k, options, &st);
+  auto result = KnnJoinImpl(r, k, &st);
   st.wall_ms = timer.ElapsedMillis();
   return result;
 }
@@ -633,14 +619,7 @@ StatusOr<std::vector<std::vector<Neighbor>>> SearchIndex::KnnBatchImpl(
 }
 
 StatusOr<JoinResult> SearchIndex::KnnJoinImpl(const Matrix& r, size_t k,
-                                              const JoinOptions& options,
                                               Stats* stats) const {
-  if (options.sample_rate < 1.0) {
-    return Status::Unimplemented(
-        "backend " + Describe() +
-        " has no native join path; only the exact join (sample_rate = 1) is "
-        "served through the per-query fallback");
-  }
   JoinResult out;
   out.neighbors.reserve(r.rows());
   for (size_t q = 0; q < r.rows(); ++q) {

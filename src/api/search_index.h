@@ -126,15 +126,11 @@ class SearchIndex {
   /// call -- neighbors[i] is Knn(r.Row(i), k), byte-identical to issuing
   /// the N single queries, but served by a dual-tree descent where the
   /// backend supports one (brep::Index, ParallelIndex, ShardedIndex;
-  /// others fall back to the per-row loop). JoinOptions::sample_rate < 1
-  /// selects the sampled approximate arm (joins against a deterministic
-  /// subset of S; kUnimplemented on fallback backends). Errors: empty `r`,
-  /// wrong dimensionality, k == 0, k > num_points() (or past the sampled
-  /// subset size), a non-finite sample_rate or one outside (0, 1], or any
-  /// R row the divergence cannot evaluate finitely -- the same
-  /// kInvalidArgument contract on every backend.
+  /// others fall back to the per-row loop). Errors: empty `r`, wrong
+  /// dimensionality, k == 0, k > num_points(), or any R row the divergence
+  /// cannot evaluate finitely -- the same kInvalidArgument contract on
+  /// every backend.
   StatusOr<JoinResult> KnnJoin(const Matrix& r, size_t k,
-                               const JoinOptions& options = {},
                                Stats* stats = nullptr) const;
 
   /// Insert `point` and return its assigned id. Errors: wrong
@@ -168,11 +164,9 @@ class SearchIndex {
       const Matrix& queries, size_t k, Stats* stats) const;
   virtual StatusOr<std::vector<std::vector<uint32_t>>> RangeBatchImpl(
       const Matrix& queries, double radius, Stats* stats) const;
-  /// Default: the exact join as a per-row KnnImpl loop (every backend gets
-  /// at least this); sampled joins are kUnimplemented without a native
-  /// join path.
+  /// Default: the join as a per-row KnnImpl loop (every backend gets at
+  /// least this).
   virtual StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
-                                           const JoinOptions& options,
                                            Stats* stats) const;
 
   /// The divergence this backend evaluates queries under, or nullptr when

@@ -106,25 +106,6 @@ class CowVec {
     for (const auto& c : chunks_) fn(std::span<const T>(*c));
   }
 
-  /// Flatten into a plain vector (tests, small tables).
-  std::vector<T> ToVector() const {
-    std::vector<T> out;
-    out.reserve(size_);
-    ForEachSpan([&](std::span<const T> s) {
-      out.insert(out.end(), s.begin(), s.end());
-    });
-    return out;
-  }
-
-  /// Number of chunks this instance does NOT share with any other copy --
-  /// i.e. chunks materialized by COW since the last snapshot was taken.
-  /// Feeds the brep_snapshot_cow_retained_pages-style gauges.
-  size_t UnsharedChunks() const {
-    size_t n = 0;
-    for (const auto& c : chunks_) n += c.use_count() == 1 ? 1 : 0;
-    return n;
-  }
-
  private:
   std::vector<T>& MutableChunk(size_t chunk) {
     std::shared_ptr<std::vector<T>>& slot = chunks_[chunk];

@@ -18,6 +18,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Number of R-subtree tasks the descent is split into. A constant, so the
+/// decomposition depends only on the R tree (never on the thread count),
+/// which is what makes parallel results byte-identical to sequential ones.
+constexpr size_t kMaxTasks = 64;
+
 /// Coordinate bounding boxes for every node of `tree`, bottom-up.
 void ComputeBoxes(const BBTree& tree, int32_t node,
                   std::vector<CoordBox>* boxes) {
@@ -180,13 +185,13 @@ void CheckJoinInputs(const Matrix& r, const Matrix& s,
 JoinResult DualTreeKnnJoin(const Matrix& r, const Matrix& s,
                            std::span<const uint32_t> s_ids,
                            const BregmanDivergence& div, size_t k,
-                           const JoinOptions& options, ThreadPool* pool) {
+                           size_t leaf_size, ThreadPool* pool) {
   CheckJoinInputs(r, s, s_ids, div, k);
   JoinResult out;
 
   Timer build_timer;
   BBTreeConfig config;
-  config.max_leaf_size = options.max_leaf_size;
+  config.max_leaf_size = leaf_size;
   const BBTree s_tree(s, div, config);
   const BBTree r_tree(r, div, config);
   std::vector<CoordBox> s_box(s_tree.nodes().size());
@@ -194,12 +199,9 @@ JoinResult DualTreeKnnJoin(const Matrix& r, const Matrix& s,
   ComputeBoxes(s_tree, s_tree.root(), &s_box);
   ComputeBoxes(r_tree, r_tree.root(), &r_box);
   out.stats.build_ms = build_timer.ElapsedMillis();
-  out.stats.r_tree_nodes = r_tree.nodes().size();
-  out.stats.s_tree_nodes = s_tree.nodes().size();
 
   Timer descent_timer;
-  const std::vector<int32_t> roots =
-      SubtreeRoots(r_tree, std::max<size_t>(1, options.max_tasks));
+  const std::vector<int32_t> roots = SubtreeRoots(r_tree, kMaxTasks);
   std::vector<TopK> heaps(r.rows(), TopK(k));
   std::vector<double> rbound(r_tree.nodes().size(), kInf);
   std::vector<std::unique_ptr<simd::DivergenceScan>> scans(r.rows());
@@ -237,16 +239,15 @@ JoinResult DualTreeKnnJoin(const Matrix& r, const Matrix& s,
 JoinResult SingleTreeKnnJoin(const Matrix& r, const Matrix& s,
                              std::span<const uint32_t> s_ids,
                              const BregmanDivergence& div, size_t k,
-                             const JoinOptions& options) {
+                             size_t leaf_size) {
   CheckJoinInputs(r, s, s_ids, div, k);
   JoinResult out;
 
   Timer build_timer;
   BBTreeConfig config;
-  config.max_leaf_size = options.max_leaf_size;
+  config.max_leaf_size = leaf_size;
   const BBTree s_tree(s, div, config);
   out.stats.build_ms = build_timer.ElapsedMillis();
-  out.stats.s_tree_nodes = s_tree.nodes().size();
 
   Timer descent_timer;
   out.neighbors.resize(r.rows());

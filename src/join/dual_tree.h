@@ -25,7 +25,7 @@
 /// single-query refinement uses -- and distances are byte-identical to it.
 ///
 /// Parallelism: the R tree is decomposed into a fixed set of subtree tasks
-/// (JoinOptions::max_tasks; never a function of the thread count), each a
+/// (at most 64; never a function of the thread count), each a
 /// fully sequential descent against the whole S tree writing disjoint
 /// result slots. Running them on 1, 2 or 4 threads produces byte-identical
 /// neighbors AND counters; the pool only changes wall-clock.
@@ -36,12 +36,13 @@ namespace brep {
 /// 1 <= k <= s.rows(), both matrices over div.dim() columns, s non-empty,
 /// s_ids.size() == s.rows()). `s_ids[i]` is the id reported for S row i and
 /// must be strictly increasing, so the (distance, id) tie-break matches a
-/// scan over the same ids. `pool` parallelizes over R-subtree tasks;
-/// nullptr runs them sequentially (same results by construction).
+/// scan over the same ids. `leaf_size` is the leaf capacity of both
+/// transient trees. `pool` parallelizes over R-subtree tasks; nullptr runs
+/// them sequentially (same results by construction).
 JoinResult DualTreeKnnJoin(const Matrix& r, const Matrix& s,
                            std::span<const uint32_t> s_ids,
                            const BregmanDivergence& div, size_t k,
-                           const JoinOptions& options, ThreadPool* pool);
+                           size_t leaf_size, ThreadPool* pool);
 
 /// The N-single-queries baseline: the same transient S tree, answered once
 /// per R row through the classic single-query descent. Byte-identical
@@ -51,7 +52,7 @@ JoinResult DualTreeKnnJoin(const Matrix& r, const Matrix& s,
 JoinResult SingleTreeKnnJoin(const Matrix& r, const Matrix& s,
                              std::span<const uint32_t> s_ids,
                              const BregmanDivergence& div, size_t k,
-                             const JoinOptions& options);
+                             size_t leaf_size);
 
 }  // namespace brep
 

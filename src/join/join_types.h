@@ -1,8 +1,6 @@
 #ifndef BREP_JOIN_JOIN_TYPES_H_
 #define BREP_JOIN_JOIN_TYPES_H_
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,38 +8,11 @@
 
 /// \file
 /// The kNN-join vocabulary shared by the facade (SearchIndex::KnnJoin) and
-/// the dual-tree core (join/dual_tree.h): per-join options, work counters,
-/// and the result container. Kept free of api/ dependencies so src/join can
-/// be used standalone over raw matrices.
+/// the dual-tree core (join/dual_tree.h): work counters and the result
+/// container. Kept free of api/ dependencies so src/join can be used
+/// standalone over raw matrices.
 
 namespace brep {
-
-/// Per-call knobs for SearchIndex::KnnJoin.
-struct JoinOptions {
-  /// Fraction of the indexed set S the join runs against. 1 (the default)
-  /// is the exact join; a rate in (0, 1) joins against a deterministic
-  /// seeded sample of S -- the approximate arm for recall/speed trading.
-  /// The sampled subset must still hold at least k points
-  /// (kInvalidArgument otherwise). Backends without a native join path
-  /// only serve the exact arm (kUnimplemented for rates below 1).
-  double sample_rate = 1.0;
-  /// Seed selecting the sampled subset (sample_rate < 1 only). The same
-  /// (rate, seed, S) always joins against the same subset.
-  uint64_t sample_seed = 42;
-  /// Measure the sampled arm's recall against the exact join (runs the
-  /// exact join alongside; costs roughly 2x). The mean per-R-point recall
-  /// lands in JoinStats::sampled_recall and the brep_join_sample_recall
-  /// gauge. Ignored for exact joins.
-  bool measure_recall = false;
-  /// Leaf capacity of the transient join trees (R always; S when the
-  /// backend builds a transient S tree).
-  size_t max_leaf_size = 64;
-  /// Target number of independent R-subtree tasks the descent is split
-  /// into. The decomposition depends only on the R tree (never on the
-  /// thread count), which is what makes parallel results byte-identical
-  /// to sequential ones.
-  size_t max_tasks = 64;
-};
 
 /// Work counters for one join call. The dual-tree counters are the
 /// acceptance instrument: node_pairs_visited under the dual-tree descent
@@ -58,15 +29,9 @@ struct JoinStats {
   uint64_t leaf_blocks = 0;
   /// Exact (r, s) divergence evaluations inside leaf blocks.
   uint64_t pairs_evaluated = 0;
-  /// Transient tree shapes (diagnostic).
-  uint64_t r_tree_nodes = 0;
-  uint64_t s_tree_nodes = 0;
   /// Span breakdown, milliseconds.
   double build_ms = 0.0;    // transient tree construction
   double descent_ms = 0.0;  // dual-tree descent + leaf scans
-  /// Mean per-R-point recall of the sampled arm against the exact join
-  /// (JoinOptions::measure_recall); -1 when not measured.
-  double sampled_recall = -1.0;
 };
 
 /// One kNN-join answer: neighbors[i] is the sorted (distance, id) top-k of
@@ -75,38 +40,6 @@ struct JoinResult {
   std::vector<std::vector<Neighbor>> neighbors;
   JoinStats stats;
 };
-
-/// Number of S points a sampled join with `rate` retains out of `n`
-/// (deterministic; at least 1). Rate 1 keeps everything.
-inline size_t SampledJoinCount(double rate, size_t n) {
-  if (rate >= 1.0) return n;
-  const size_t m = static_cast<size_t>(rate * static_cast<double>(n));
-  return m > 0 ? m : 1;
-}
-
-/// Mean per-R-row recall of a sampled join against the exact one (both
-/// per-row sorted (distance, id) lists; the exact lists are the truth
-/// sets). Feeds JoinStats::sampled_recall and the brep_join_sample_recall
-/// gauge.
-inline double MeanJoinRecall(
-    const std::vector<std::vector<Neighbor>>& sampled,
-    const std::vector<std::vector<Neighbor>>& exact) {
-  if (sampled.empty()) return 0.0;
-  double total = 0.0;
-  std::vector<uint32_t> truth;
-  for (size_t i = 0; i < sampled.size(); ++i) {
-    truth.clear();
-    for (const Neighbor& nb : exact[i]) truth.push_back(nb.id);
-    std::sort(truth.begin(), truth.end());
-    size_t hits = 0;
-    for (const Neighbor& nb : sampled[i]) {
-      hits += std::binary_search(truth.begin(), truth.end(), nb.id) ? 1 : 0;
-    }
-    total +=
-        exact[i].empty() ? 1.0 : double(hits) / double(exact[i].size());
-  }
-  return total / double(sampled.size());
-}
 
 }  // namespace brep
 

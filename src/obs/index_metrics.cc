@@ -31,7 +31,6 @@ IndexMetrics RegisterIndexMetrics(MetricRegistry& registry) {
   im.join_node_pairs_pruned = &registry.GetCounter(kJoinNodePairsPrunedTotal);
   im.join_leaf_blocks = &registry.GetCounter(kJoinLeafBlocksTotal);
   im.join_latency = &registry.GetHistogram(kJoinLatencyMs);
-  im.join_sample_recall = &registry.GetGauge(kJoinSampleRecallGauge);
   return im;
 }
 

@@ -52,9 +52,6 @@ inline constexpr char kJoinNodePairsPrunedTotal[] =
     "brep_join_node_pairs_pruned_total";
 inline constexpr char kJoinLeafBlocksTotal[] = "brep_join_leaf_blocks_total";
 inline constexpr char kJoinLatencyMs[] = "brep_join_latency_ms";
-/// Measured recall of the most recent sampled join (JoinOptions::
-/// measure_recall); stays at its default 0 until one is measured.
-inline constexpr char kJoinSampleRecallGauge[] = "brep_join_sample_recall";
 
 // Assembled at snapshot time from component-owned state (index gauges,
 // update totals, pager/pool/WAL/recovery counters and histograms).
@@ -146,7 +143,6 @@ struct IndexMetrics {
   Counter* join_node_pairs_pruned = nullptr;
   Counter* join_leaf_blocks = nullptr;
   LatencyHistogram* join_latency = nullptr;
-  Gauge* join_sample_recall = nullptr;
 };
 
 IndexMetrics RegisterIndexMetrics(MetricRegistry& registry);

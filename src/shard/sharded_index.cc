@@ -402,92 +402,60 @@ StatusOr<std::vector<std::vector<uint32_t>>> ShardedIndex::RangeBatchImpl(
 }
 
 StatusOr<JoinResult> ShardedIndex::KnnJoinImpl(const Matrix& r, size_t k,
-                                               const JoinOptions& options,
                                                Stats* stats) const {
-  const size_t n = shards_.size();
   // One scatter pass: every shard joins R against its own slice (k clamped
-  // to the shard's -- possibly sampled -- population), lists are rewritten
-  // into global id space, and each R row merges through the global
-  // (distance, id) TopK. `sink` may be null for a measurement-only pass
-  // whose work should not land in the caller's counters.
-  const auto scatter =
-      [&](const JoinOptions& opts,
-          Stats* sink) -> StatusOr<JoinResult> {
-    std::vector<JoinResult> per(n);
-    std::vector<Stats> shard_stats(n);
-    std::vector<Status> shard_status(n);
-    Timer scatter_timer;
-    const auto run_shard = [&](size_t i) {
-      const size_t avail = shards_[i]->num_points();
-      if (avail == 0) return;  // empty shard contributes nothing
-      const size_t k_s = std::min(k, SampledJoinCount(opts.sample_rate,
-                                                      avail));
-      auto result = shards_[i]->KnnJoin(r, k_s, opts, &shard_stats[i]);
-      if (!result.ok()) {
-        shard_status[i] = result.status();
-        return;
-      }
-      per[i] = *std::move(result);
-      // A shard's ascending local order IS ascending global order, so the
-      // id rewrite preserves each list's (distance, id) sort.
-      for (std::vector<Neighbor>& row : per[i].neighbors) {
-        for (Neighbor& nb : row) nb.id = GlobalId(nb.id, i, n);
-      }
-    };
-    if (n > 1) {
-      pool_->ParallelFor(n, [&](size_t i, size_t) { run_shard(i); });
-    } else {
-      run_shard(0);
+  // to the shard's population), lists are rewritten into global id space,
+  // and each R row merges through the global (distance, id) TopK.
+  const size_t n = shards_.size();
+  std::vector<JoinResult> per(n);
+  std::vector<Stats> shard_stats(n);
+  std::vector<Status> shard_status(n);
+  Timer scatter_timer;
+  const auto run_shard = [&](size_t i) {
+    const size_t avail = shards_[i]->num_points();
+    if (avail == 0) return;  // empty shard contributes nothing
+    auto result =
+        shards_[i]->KnnJoin(r, std::min(k, avail), &shard_stats[i]);
+    if (!result.ok()) {
+      shard_status[i] = result.status();
+      return;
     }
-    scatter_latency_->Record(scatter_timer.ElapsedMillis());
-    JoinResult out;
-    for (size_t i = 0; i < n; ++i) {
-      BREP_RETURN_IF_ERROR(shard_status[i]);
-      if (sink != nullptr) AddShardLanes(sink, shard_stats[i]);
-      out.stats.node_pairs_visited += per[i].stats.node_pairs_visited;
-      out.stats.node_pairs_pruned += per[i].stats.node_pairs_pruned;
-      out.stats.leaf_blocks += per[i].stats.leaf_blocks;
-      out.stats.pairs_evaluated += per[i].stats.pairs_evaluated;
-      out.stats.r_tree_nodes += per[i].stats.r_tree_nodes;
-      out.stats.s_tree_nodes += per[i].stats.s_tree_nodes;
-      out.stats.build_ms += per[i].stats.build_ms;
-      out.stats.descent_ms += per[i].stats.descent_ms;
+    per[i] = *std::move(result);
+    // A shard's ascending local order IS ascending global order, so the
+    // id rewrite preserves each list's (distance, id) sort.
+    for (std::vector<Neighbor>& row : per[i].neighbors) {
+      for (Neighbor& nb : row) nb.id = GlobalId(nb.id, i, n);
     }
-    Timer merge_timer;
-    out.neighbors.resize(r.rows());
-    std::vector<std::vector<Neighbor>> rows(n);
-    for (size_t q = 0; q < r.rows(); ++q) {
-      for (size_t i = 0; i < n; ++i) {
-        rows[i] = per[i].neighbors.size() == r.rows()
-                      ? std::move(per[i].neighbors[q])
-                      : std::vector<Neighbor>{};
-      }
-      out.neighbors[q] = MergeKnn(rows, k);
-    }
-    merge_latency_->Record(merge_timer.ElapsedMillis());
-    return out;
   };
-
-  if (options.sample_rate < 1.0 && options.measure_recall) {
-    // Recall must be judged globally (a per-shard measurement would score
-    // each shard against its own slice only): run the sampled scatter for
-    // the answer and an exact scatter for the truth set, and keep only the
-    // sampled pass's work in the caller's counters.
-    JoinOptions sampled_opts = options;
-    sampled_opts.measure_recall = false;
-    BREP_ASSIGN_OR_RETURN(JoinResult sampled, scatter(sampled_opts, stats));
-    JoinOptions exact_opts = options;
-    exact_opts.sample_rate = 1.0;
-    exact_opts.measure_recall = false;
-    BREP_ASSIGN_OR_RETURN(const JoinResult exact,
-                          scatter(exact_opts, /*sink=*/nullptr));
-    sampled.stats.sampled_recall =
-        MeanJoinRecall(sampled.neighbors, exact.neighbors);
-    return sampled;
+  if (n > 1) {
+    pool_->ParallelFor(n, [&](size_t i, size_t) { run_shard(i); });
+  } else {
+    run_shard(0);
   }
-  BREP_ASSIGN_OR_RETURN(JoinResult out, scatter(options, stats));
-  // Exact join against the full truth set: recall is 1 by definition.
-  if (options.measure_recall) out.stats.sampled_recall = 1.0;
+  scatter_latency_->Record(scatter_timer.ElapsedMillis());
+  JoinResult out;
+  for (size_t i = 0; i < n; ++i) {
+    BREP_RETURN_IF_ERROR(shard_status[i]);
+    AddShardLanes(stats, shard_stats[i]);
+    out.stats.node_pairs_visited += per[i].stats.node_pairs_visited;
+    out.stats.node_pairs_pruned += per[i].stats.node_pairs_pruned;
+    out.stats.leaf_blocks += per[i].stats.leaf_blocks;
+    out.stats.pairs_evaluated += per[i].stats.pairs_evaluated;
+    out.stats.build_ms += per[i].stats.build_ms;
+    out.stats.descent_ms += per[i].stats.descent_ms;
+  }
+  Timer merge_timer;
+  out.neighbors.resize(r.rows());
+  std::vector<std::vector<Neighbor>> rows(n);
+  for (size_t q = 0; q < r.rows(); ++q) {
+    for (size_t i = 0; i < n; ++i) {
+      rows[i] = per[i].neighbors.size() == r.rows()
+                    ? std::move(per[i].neighbors[q])
+                    : std::vector<Neighbor>{};
+    }
+    out.neighbors[q] = MergeKnn(rows, k);
+  }
+  merge_latency_->Record(merge_timer.ElapsedMillis());
   return out;
 }
 

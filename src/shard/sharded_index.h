@@ -128,12 +128,8 @@ class ShardedIndex final : public SearchIndex {
   /// Scatter join: every shard runs its own dual-tree join over R (with k
   /// clamped to the shard's population), then the per-R-row lists merge
   /// through the global (distance, id) TopK -- byte-identical to one big
-  /// index over the same data, like the query paths. The sampled arm
-  /// samples each shard independently at the same rate/seed; with
-  /// measure_recall set, recall is computed globally against the exact
-  /// scatter join.
+  /// index over the same data, like the query paths.
   StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
-                                   const JoinOptions& options,
                                    Stats* stats) const override;
   /// Writes route by id: inserts round-robin over shards (one atomic
   /// cursor, no shared lock -- writers on distinct shards proceed in

@@ -59,23 +59,4 @@ PagePin BufferPool::ReadPinned(PageId id, const PageSource& src) {
   return page;
 }
 
-const PageBuffer& BufferPool::Read(PageId id) {
-  last_read_ = ReadPinned(id);
-  return *last_read_;
-}
-
-void BufferPool::Invalidate(PageId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second);
-  entries_.erase(it);
-}
-
-void BufferPool::InvalidateAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  entries_.clear();
-}
-
 }  // namespace brep

@@ -53,21 +53,6 @@ class BufferPool {
   /// is replaced in place (a version refresh, not an eviction).
   PagePin ReadPinned(PageId id, const PageSource& src);
 
-  /// Single-threaded convenience: read through the cache and return a
-  /// reference that is only guaranteed valid until the next call on this
-  /// pool (the next miss may evict the page and, with no pin held, free
-  /// its bytes). Concurrent callers must use ReadPinned() instead.
-  const PageBuffer& Read(PageId id);
-
-  /// Drop one cached page (the write path calls this after mutating a
-  /// page, so no reader ever sees a stale image). Outstanding pins keep
-  /// their bytes.
-  void Invalidate(PageId id);
-
-  /// Drop all cached pages (e.g. after out-of-band writes). Outstanding
-  /// pins keep their bytes.
-  void InvalidateAll();
-
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Pages pushed out by capacity pressure (a high rate against a low miss
@@ -101,10 +86,6 @@ class BufferPool {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  // Keeps the most recent Read() result alive so the legacy reference
-  // contract ("valid until the next call") holds even if that page is
-  // evicted by the very next miss.
-  PagePin last_read_;
 };
 
 }  // namespace brep

@@ -158,7 +158,7 @@ TEST_F(ObsDeterminismTest, PerCallStatsEqualTheirTraceEntries) {
   ASSERT_TRUE(index.Range(queries_.Row(1), radius_, &st).ok());
   EXPECT_EQ(work(st), work(index.SlowQueries().back())) << "range";
 
-  ASSERT_TRUE(index.KnnJoin(queries_, kK, {}, &st).ok());
+  ASSERT_TRUE(index.KnnJoin(queries_, kK, &st).ok());
   const obs::QueryTraceEntry join = index.SlowQueries().back();
   EXPECT_EQ(join.op, 'j');
   EXPECT_EQ(work(st), work(join)) << "join";

@@ -1,8 +1,8 @@
 /// SearchIndex::KnnJoin facade contract: the wrapper validates identically
-/// on every backend (native, fallback, sharded), the fallback serves exact
-/// joins through per-query search, the native path is byte-identical to the
-/// nested-loop oracle, the sampled arm reports measured recall, and join
-/// work lands in the metrics registry and the trace ring.
+/// on every backend (native, fallback, sharded), the fallback serves joins
+/// through per-query search, the native and sharded paths are
+/// byte-identical to the nested-loop oracle, and join work lands in the
+/// metrics registry and the trace ring.
 
 #include <cmath>
 #include <limits>
@@ -74,28 +74,6 @@ void ExpectValidationContract(const SearchIndex& index, const Matrix& data) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
       << index.Describe();
 
-  // sample_rate outside (0, 1].
-  for (const double rate : {0.0, -0.25, 1.5,
-                            std::numeric_limits<double>::quiet_NaN(),
-                            std::numeric_limits<double>::infinity()}) {
-    JoinOptions options;
-    options.sample_rate = rate;
-    result = index.KnnJoin(r, 3, options);
-    ASSERT_FALSE(result.ok()) << index.Describe() << " rate=" << rate;
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-        << index.Describe() << " rate=" << rate;
-  }
-
-  // k larger than the sampled subset: rejected up front, not served badly.
-  {
-    JoinOptions options;
-    options.sample_rate = 2.0 / static_cast<double>(n);
-    result = index.KnnJoin(r, 3, options);
-    ASSERT_FALSE(result.ok()) << index.Describe();
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-        << index.Describe();
-  }
-
   // A NaN row in R is refused by the evaluability gate when the backend
   // exposes its divergence.
   std::vector<double> bad(r.rows() * kDim, 0.5);
@@ -151,28 +129,12 @@ TEST(JoinFallbackTest, ExactJoinMatchesOracleOnExactFallbackBackends) {
     auto index = MakeSearchIndex(backend, &pager, data, div);
     ASSERT_TRUE(index.ok()) << backend << ": " << index.status().message();
     SearchIndex::Stats stats;
-    auto result = (*index)->KnnJoin(r, 4, {}, &stats);
+    auto result = (*index)->KnnJoin(r, 4, &stats);
     ASSERT_TRUE(result.ok()) << backend << ": " << result.status().message();
     ExpectJoinIdentical(result->neighbors, oracle, backend);
     EXPECT_EQ(stats.queries, r.rows()) << backend;
     EXPECT_GT(result->stats.pairs_evaluated, 0u) << backend;
   }
-}
-
-// The fallback has no sampled arm: asking for one is kUnimplemented, not a
-// silently different answer.
-TEST(JoinFallbackTest, SampledJoinIsUnimplementedOnFallbackBackends) {
-  const Matrix data = MakeDataFor("squared_l2", kN, kDim);
-  const Matrix r = SmallQueries(data);
-  MemPager pager(32 * 1024);
-  const BregmanDivergence div = MakeDivergence("squared_l2", kDim);
-  auto index = MakeSearchIndex("scan", &pager, data, div);
-  ASSERT_TRUE(index.ok()) << index.status().message();
-  JoinOptions options;
-  options.sample_rate = 0.5;
-  const auto result = (*index)->KnnJoin(r, 3, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
 }
 
 // ------------------------------------------------------------- native path
@@ -184,7 +146,7 @@ TEST(JoinIndexTest, ExactJoinMatchesOracleAndFillsStats) {
   ASSERT_TRUE(built.ok()) << built.status().message();
 
   SearchIndex::Stats stats;
-  auto result = built->KnnJoin(r, 5, {}, &stats);
+  auto result = built->KnnJoin(r, 5, &stats);
   ASSERT_TRUE(result.ok()) << result.status().message();
   ExpectJoinIdentical(result->neighbors,
                       NestedLoopJoin(built->divergence(), r, data, 5),
@@ -195,11 +157,7 @@ TEST(JoinIndexTest, ExactJoinMatchesOracleAndFillsStats) {
   EXPECT_EQ(stats.leaves_visited, result->stats.leaf_blocks);
   EXPECT_EQ(stats.points_evaluated, result->stats.pairs_evaluated);
   EXPECT_GT(result->stats.node_pairs_visited, 0u);
-  EXPECT_GT(result->stats.r_tree_nodes, 0u);
-  EXPECT_GT(result->stats.s_tree_nodes, 0u);
   EXPECT_GE(stats.wall_ms, 0.0);
-  EXPECT_EQ(result->stats.sampled_recall, -1.0)
-      << "exact join must not report a recall";
 }
 
 TEST(JoinIndexTest, ParallelHandleIsByteIdenticalToSequential) {
@@ -254,56 +212,6 @@ TEST(JoinIndexTest, JoinReflectsDeletes) {
                       NestedLoopJoin(built->divergence(), r, survivors, 4,
                                      live),
                       "join after deletes");
-}
-
-// ------------------------------------------------------------- sampled arm
-
-TEST(JoinIndexTest, SampledJoinReportsMeasuredRecall) {
-  const Matrix data = MakeDataFor("squared_l2", 500, kDim);
-  const Matrix r = MakeQueriesFor("squared_l2", data, 25);
-  auto built = Index::Build(data, "squared_l2", TracedOptions());
-  ASSERT_TRUE(built.ok()) << built.status().message();
-
-  JoinOptions options;
-  options.sample_rate = 0.5;
-  options.measure_recall = true;
-  const auto result = built->KnnJoin(r, 5, options);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  ASSERT_EQ(result->neighbors.size(), r.rows());
-  EXPECT_GE(result->stats.sampled_recall, 0.0);
-  EXPECT_LE(result->stats.sampled_recall, 1.0);
-
-  // The recall gauge reflects the measurement.
-  const auto snapshot = built->Metrics();
-  const double* gauge =
-      snapshot.FindGauge(obs::kJoinSampleRecallGauge);
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(*gauge, result->stats.sampled_recall);
-
-  // Every sampled neighbor must be a real point at its true distance
-  // (sampling shrinks the candidate set, never corrupts distances).
-  const auto exact = NestedLoopJoin(built->divergence(), r, data, 5);
-  for (size_t i = 0; i < r.rows(); ++i) {
-    for (const Neighbor& nb : result->neighbors[i]) {
-      EXPECT_EQ(nb.distance,
-                built->divergence().Divergence(data.Row(nb.id), r.Row(i)))
-          << "row " << i;
-    }
-  }
-
-  // Same seed, same answer: the sampled arm is deterministic.
-  const auto again = built->KnnJoin(r, 5, options);
-  ASSERT_TRUE(again.ok());
-  ExpectJoinIdentical(again->neighbors, result->neighbors, "sampled rerun");
-  EXPECT_EQ(again->stats.sampled_recall, result->stats.sampled_recall);
-
-  // sample_rate = 1 with measure_recall: recall is exactly 1.
-  JoinOptions full;
-  full.measure_recall = true;
-  const auto everything = built->KnnJoin(r, 5, full);
-  ASSERT_TRUE(everything.ok());
-  EXPECT_EQ(everything->stats.sampled_recall, 1.0);
-  ExpectJoinIdentical(everything->neighbors, exact, "rate-1 sampled join");
 }
 
 // ---------------------------------------------------------- observability
@@ -370,7 +278,7 @@ TEST(JoinShardedTest, ScatterJoinIsByteIdenticalToUnsharded) {
     auto sharded = ShardedIndex::Build(data, "squared_l2", options);
     ASSERT_TRUE(sharded.ok()) << sharded.status().message();
     SearchIndex::Stats stats;
-    const auto result = (*sharded)->KnnJoin(r, 5, {}, &stats);
+    const auto result = (*sharded)->KnnJoin(r, 5, &stats);
     ASSERT_TRUE(result.ok()) << shards << " shards: "
                              << result.status().message();
     ExpectJoinIdentical(result->neighbors, oracle,
@@ -380,25 +288,44 @@ TEST(JoinShardedTest, ScatterJoinIsByteIdenticalToUnsharded) {
   }
 }
 
-TEST(JoinShardedTest, SampledShardedJoinReportsGlobalRecall) {
-  const Matrix data = MakeDataFor("squared_l2", 360, kDim);
+// A shard with no live points is skipped, and one with fewer live points
+// than k answers with all of them; the merge must still match the oracle
+// over the live rows under their global ids.
+TEST(JoinShardedTest, EmptyAndShortShardsMatchOracle) {
+  constexpr size_t kShards = 4;
+  constexpr size_t kK = 5;
+  const Matrix data = MakeDataFor("squared_l2", 200, kDim);
   const Matrix r = MakeQueriesFor("squared_l2", data, 16);
   ShardedIndexOptions options;
-  options.num_shards = 3;
+  options.num_shards = kShards;
   options.shard.config.num_partitions = 3;
   auto sharded = ShardedIndex::Build(data, "squared_l2", options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().message();
-  JoinOptions join_options;
-  join_options.sample_rate = 0.5;
-  join_options.measure_recall = true;
-  const auto result = (*sharded)->KnnJoin(r, 4, join_options);
+
+  // Global id g lives on shard g % 4: empty shard 1 and keep only two
+  // points on shard 2 (k = 5 exceeds its population).
+  std::vector<uint32_t> live;
+  size_t kept_on_short_shard = 0;
+  for (uint32_t id = 0; id < data.rows(); ++id) {
+    const size_t shard = ShardedIndex::ShardOf(id, kShards);
+    const bool keep =
+        shard == 0 || shard == 3 || (shard == 2 && kept_on_short_shard++ < 2);
+    if (keep) {
+      live.push_back(id);
+    } else {
+      ASSERT_TRUE((*sharded)->Delete(id).ok()) << id;
+    }
+  }
+  ASSERT_EQ((*sharded)->num_points(), live.size());
+
+  const Matrix survivors =
+      data.GatherRows(std::vector<size_t>(live.begin(), live.end()));
+  const auto result = (*sharded)->KnnJoin(r, kK);
   ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_GE(result->stats.sampled_recall, 0.0);
-  EXPECT_LE(result->stats.sampled_recall, 1.0);
-  // Determinism of the sampled sharded arm.
-  const auto again = (*sharded)->KnnJoin(r, 4, join_options);
-  ASSERT_TRUE(again.ok());
-  ExpectJoinIdentical(again->neighbors, result->neighbors, "sharded rerun");
+  ExpectJoinIdentical(result->neighbors,
+                      NestedLoopJoin(MakeDivergence("squared_l2", kDim), r,
+                                     survivors, kK, live),
+                      "empty and short shards");
 }
 
 }  // namespace

@@ -32,6 +32,13 @@ BregmanDivergence MakeDiv(const std::string& generator, size_t d) {
   return BregmanDivergence(*std::move(gen), d);
 }
 
+// 16-point leaves give the small test sets multi-level trees, so the
+// descent has node pairs to prune (at 64-point leaves the ISD case of
+// VisitsStrictlyFewerNodePairsThanSingleQueries prunes none).
+constexpr size_t kLeafSize = 16;
+// The leaf capacity the facade joins with.
+constexpr size_t kFacadeLeafSize = 64;
+
 std::vector<uint32_t> Iota(size_t n) {
   std::vector<uint32_t> ids(n);
   std::iota(ids.begin(), ids.end(), 0u);
@@ -147,10 +154,8 @@ TEST(DualTreeJoinTest, MatchesNestedLoopOracleForEveryGenerator) {
     const Matrix s = MakeDataFor(generator, kN, kD);
     const Matrix r = MakeQueriesFor(generator, s, kR);
     const std::vector<uint32_t> ids = Iota(kN);
-    JoinOptions options;
-    options.max_leaf_size = 16;
     const JoinResult result =
-        DualTreeKnnJoin(r, s, ids, div, kK, options, /*pool=*/nullptr);
+        DualTreeKnnJoin(r, s, ids, div, kK, kLeafSize, /*pool=*/nullptr);
     ExpectJoinIdentical(result.neighbors, NestedLoopJoin(div, r, s, kK),
                         generator);
     EXPECT_EQ(result.stats.pairs_evaluated + /*pruned pairs evaluate 0*/ 0,
@@ -171,7 +176,7 @@ TEST(DualTreeJoinTest, ReportsProvidedIds) {
     ids[i] = static_cast<uint32_t>(3 * i + 7);  // strictly increasing
   }
   const JoinResult result =
-      DualTreeKnnJoin(r, s, ids, div, 3, {}, /*pool=*/nullptr);
+      DualTreeKnnJoin(r, s, ids, div, 3, kFacadeLeafSize, /*pool=*/nullptr);
   ExpectJoinIdentical(result.neighbors, NestedLoopJoin(div, r, s, 3, ids),
                       "remapped ids");
 }
@@ -184,7 +189,8 @@ TEST(DualTreeJoinTest, KEqualsAllPoints) {
   const Matrix r = MakeQueriesFor("exponential", s, 10);
   const std::vector<uint32_t> ids = Iota(s.rows());
   const JoinResult result =
-      DualTreeKnnJoin(r, s, ids, div, s.rows(), {}, /*pool=*/nullptr);
+      DualTreeKnnJoin(r, s, ids, div, s.rows(), kFacadeLeafSize,
+                      /*pool=*/nullptr);
   ExpectJoinIdentical(result.neighbors,
                       NestedLoopJoin(div, r, s, s.rows()), "k == n");
 }
@@ -197,7 +203,7 @@ TEST(DualTreeJoinTest, SelfJoinFindsSelfFirst) {
   const Matrix s = MakeDataFor("itakura_saito", 200, kD);
   const std::vector<uint32_t> ids = Iota(s.rows());
   const JoinResult result =
-      DualTreeKnnJoin(s, s, ids, div, 2, {}, /*pool=*/nullptr);
+      DualTreeKnnJoin(s, s, ids, div, 2, kFacadeLeafSize, /*pool=*/nullptr);
   for (size_t i = 0; i < s.rows(); ++i) {
     ASSERT_EQ(result.neighbors[i].size(), 2u);
     EXPECT_EQ(result.neighbors[i][0].id, i);
@@ -220,14 +226,12 @@ TEST(DualTreeJoinTest, ByteIdenticalAcrossThreadCounts) {
     const Matrix s = MakeDataFor(generator, kN, kD);
     const Matrix r = MakeQueriesFor(generator, s, kR);
     const std::vector<uint32_t> ids = Iota(kN);
-    JoinOptions options;
-    options.max_leaf_size = 16;
     const JoinResult sequential =
-        DualTreeKnnJoin(r, s, ids, div, kK, options, /*pool=*/nullptr);
+        DualTreeKnnJoin(r, s, ids, div, kK, kLeafSize, /*pool=*/nullptr);
     for (const size_t threads : {1u, 2u, 4u}) {
       ThreadPool pool(threads - 1);  // lanes = workers + caller
       const JoinResult parallel =
-          DualTreeKnnJoin(r, s, ids, div, kK, options, &pool);
+          DualTreeKnnJoin(r, s, ids, div, kK, kLeafSize, &pool);
       ExpectJoinIdentical(parallel.neighbors, sequential.neighbors,
                           generator + " @" + std::to_string(threads));
       EXPECT_EQ(parallel.stats.node_pairs_visited,
@@ -262,11 +266,10 @@ TEST(DualTreeJoinTest, VisitsStrictlyFewerNodePairsThanSingleQueries) {
     const Matrix s = MakeDataFor(generator, kN, kD);
     const Matrix r = MakeQueriesFor(generator, s, kR);
     const std::vector<uint32_t> ids = Iota(kN);
-    JoinOptions options;
-    options.max_leaf_size = 16;
     const JoinResult dual =
-        DualTreeKnnJoin(r, s, ids, div, kK, options, /*pool=*/nullptr);
-    const JoinResult single = SingleTreeKnnJoin(r, s, ids, div, kK, options);
+        DualTreeKnnJoin(r, s, ids, div, kK, kLeafSize, /*pool=*/nullptr);
+    const JoinResult single =
+        SingleTreeKnnJoin(r, s, ids, div, kK, kLeafSize);
     ExpectJoinIdentical(dual.neighbors, single.neighbors, generator);
     EXPECT_LT(dual.stats.node_pairs_visited, single.stats.node_pairs_visited)
         << generator

@@ -23,48 +23,64 @@ class BufferPoolTest : public ::testing::Test {
 
 TEST_F(BufferPoolTest, MissThenHit) {
   BufferPool pool(&pager_, 4);
-  const PageBuffer& a = pool.Read(3);
-  EXPECT_EQ(a[0], 3);
+  const PagePin a = pool.ReadPinned(3);
+  EXPECT_EQ((*a)[0], 3);
   EXPECT_EQ(pool.misses(), 1u);
   EXPECT_EQ(pool.hits(), 0u);
-  pool.Read(3);
+  pool.ReadPinned(3);
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_EQ(pager_.stats().reads, 1u);  // hit did not touch the pager
 }
 
 TEST_F(BufferPoolTest, EvictsLeastRecentlyUsed) {
   BufferPool pool(&pager_, 2);
-  pool.Read(0);
-  pool.Read(1);
-  pool.Read(0);      // refresh page 0; page 1 is now LRU
-  pool.Read(2);      // evicts page 1
+  pool.ReadPinned(0);
+  pool.ReadPinned(1);
+  pool.ReadPinned(0);  // refresh page 0; page 1 is now LRU
+  pool.ReadPinned(2);  // evicts page 1
   pool.ResetStats();
-  pool.Read(0);      // still cached
-  pool.Read(2);      // still cached
+  pool.ReadPinned(0);  // still cached
+  pool.ReadPinned(2);  // still cached
   EXPECT_EQ(pool.hits(), 2u);
-  pool.Read(1);      // was evicted
+  pool.ReadPinned(1);  // was evicted
   EXPECT_EQ(pool.misses(), 1u);
 }
 
 TEST_F(BufferPoolTest, CapacityNeverExceeded) {
   BufferPool pool(&pager_, 3);
-  for (PageId id = 0; id < 10; ++id) pool.Read(id);
+  for (PageId id = 0; id < 10; ++id) pool.ReadPinned(id);
   EXPECT_LE(pool.size(), 3u);
 }
 
-TEST_F(BufferPoolTest, InvalidateForcesReload) {
+TEST_F(BufferPoolTest, RewrittenPageMissesAndReloads) {
+  // The pool's only invalidation: a write advances the page's generation,
+  // so the resident copy stops matching and the next read refreshes it in
+  // place. Every MVCC write relies on this.
   BufferPool pool(&pager_, 4);
-  pool.Read(5);
-  pool.InvalidateAll();
-  pool.Read(5);
+  const PagePin before = pool.ReadPinned(5);
+  pool.ReadPinned(5);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 1u);
+  const size_t resident = pool.size();
+
+  const uint64_t gen = pager_.PageGen(5);
+  pager_.Write(5, std::vector<uint8_t>{42});
+  ASSERT_GT(pager_.PageGen(5), gen);
+
+  const PagePin after = pool.ReadPinned(5);
+  EXPECT_EQ((*after)[0], 42);
   EXPECT_EQ(pool.misses(), 2u);
-  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.evictions(), 0u);  // a version refresh, not an eviction
+  EXPECT_EQ(pool.size(), resident);
+  EXPECT_EQ((*before)[0], 5);  // the earlier pin keeps the old bytes
 }
 
 TEST_F(BufferPoolTest, PinnedPageSurvivesEviction) {
-  // Regression: Read()'s reference dies when the page is evicted, which a
-  // concurrent reader (or any caller holding the reference across another
-  // Read) would hit. ReadPinned keeps the bytes alive past eviction.
+  // Regression: a reference into an unpinned cached page dies when the
+  // page is evicted, which a concurrent reader (or any caller holding the
+  // reference across another read) would hit. ReadPinned keeps the bytes
+  // alive past eviction.
   BufferPool pool(&pager_, 1);
   const PagePin pin = pool.ReadPinned(3);
   EXPECT_EQ((*pin)[0], 3);
@@ -115,7 +131,7 @@ TEST_F(BufferPoolTest, ConcurrentPinnedReadsAreConsistent) {
 TEST_F(BufferPoolTest, SequentialScanLargerThanPoolAlwaysMisses) {
   BufferPool pool(&pager_, 2);
   for (int round = 0; round < 3; ++round) {
-    for (PageId id = 0; id < 5; ++id) pool.Read(id);
+    for (PageId id = 0; id < 5; ++id) pool.ReadPinned(id);
   }
   // Cyclic scan of 5 pages through a 2-page pool: every access misses.
   EXPECT_EQ(pool.hits(), 0u);
