@@ -89,8 +89,9 @@ class BBForest {
   /// Pages referenced by the store and every tree (partition-level page
   /// accounting; catalog pages are the caller's).
   std::vector<PageId> LivePages() const;
-  const std::vector<size_t>& partition_columns(size_t m) const {
-    return partitions_[m];
+  /// Each subspace tree's column list, in the tree's coordinate order.
+  const std::vector<std::vector<size_t>>& partitions() const {
+    return partitions_;
   }
   const DiskBBTree& tree(size_t m) const { return *trees_[m]; }
   const BregmanDivergence& subspace_divergence(size_t m) const {

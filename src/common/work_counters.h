@@ -25,7 +25,8 @@ struct WorkCounters {
   /// deltas over counters every reader of the index shares, so they are
   /// approximate when calls overlap; the four logical counters are exact.
   uint64_t io_reads = 0;
-  /// Candidate points fetched and decided by the refine phase.
+  /// Points fetched and decided in the full space: a kNN query's seeds
+  /// (evaluated in the bound phase) and the filter's union, each once.
   uint64_t candidates = 0;
   /// Tree nodes visited, summed over the subspace trees.
   uint64_t nodes_visited = 0;
@@ -34,10 +35,11 @@ struct WorkCounters {
   /// Leaf points decided inside the trees (the filter phase); the refine
   /// phase's points are `candidates`.
   uint64_t points_evaluated = 0;
-  /// Exact Bregman evaluations: the filter's leaf points and the refine's
-  /// candidates that the certified identity bound could not decide, or all
-  /// of them when the index skips the bound (squared L2; README, "Certified
-  /// identity evaluation"). A subset of points_evaluated + candidates.
+  /// Exact Bregman evaluations: every kNN seed, plus the filter's leaf
+  /// points and the refine's candidates that the certified identity bound
+  /// could not decide, or all of them when the index skips the bound
+  /// (squared L2; README, "Certified identity evaluation"). A subset of
+  /// points_evaluated + candidates.
   uint64_t exact_evals = 0;
   /// Bisection steps run by the trees' ball tests (BallQuery): one per
   /// dual-segment point evaluated, in the filter's range descents and the
@@ -70,7 +72,7 @@ using SearchStats = WorkCounters;
 /// tree build in `bound_ms` and its descent in `refine_ms`; a batch puts its
 /// wall clock in `total_ms`.
 struct Spans {
-  double bound_ms = 0.0;   // query transform + QBDetermine
+  double bound_ms = 0.0;   // query transform, bound totals, exact seeds
   double filter_ms = 0.0;  // range queries over the BB-forest
   double refine_ms = 0.0;  // candidate fetch + exact evaluation
   double total_ms = 0.0;   // the whole call

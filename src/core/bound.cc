@@ -1,6 +1,7 @@
 #include "core/bound.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/build_counters.h"
 #include "common/check.h"
@@ -66,13 +67,42 @@ TransformedDataset::TransformedDataset(
     }
   }
   tuples_.Assign(std::span<const PointTuple>(flat));
+  for (size_t i = 0; i < n_; ++i) {
+    NoteLiveRow(std::span<const PointTuple>(flat).subspan(i * m_, m_));
+  }
 }
 
 TransformedDataset::TransformedDataset(size_t n, size_t m,
-                                       std::vector<PointTuple> tuples)
+                                       std::vector<PointTuple> tuples,
+                                       std::span<const uint32_t> dead_ids)
     : n_(n), m_(m) {
   BREP_CHECK(tuples.size() == n * m);
   tuples_.Assign(std::span<const PointTuple>(tuples));
+  std::vector<bool> dead(n, false);
+  for (uint32_t id : dead_ids) {
+    BREP_CHECK(id < n);
+    dead[id] = true;
+  }
+  for (size_t i = 0; i < n_; ++i) {
+    if (!dead[i]) {
+      NoteLiveRow(std::span<const PointTuple>(tuples).subspan(i * m_, m_));
+    }
+  }
+}
+
+void TransformedDataset::NoteLiveRow(std::span<const PointTuple> row) {
+  double alpha_abs = 0.0;
+  double gamma = 0.0;
+  for (const PointTuple& t : row) {
+    alpha_abs += t.alpha_abs;
+    gamma += t.gamma;
+  }
+  // A NaN sum sticks (std::max would drop it), and so does +inf: the
+  // margin that reads the maxima then certifies nothing.
+  if (std::isnan(alpha_abs) || alpha_abs > maxima_.alpha_abs) {
+    maxima_.alpha_abs = alpha_abs;
+  }
+  if (std::isnan(gamma) || gamma > maxima_.gamma) maxima_.gamma = gamma;
 }
 
 TransformedDataset TransformedDataset::WholeSpace(
@@ -86,11 +116,18 @@ TransformedDataset TransformedDataset::WholeSpace(
 void TransformedDataset::SetRow(size_t i, std::span<const PointTuple> row) {
   BREP_CHECK(i < n_ && row.size() == m_);
   for (size_t j = 0; j < m_; ++j) tuples_.Set(i * m_ + j, row[j]);
+  NoteLiveRow(row);
+}
+
+void TransformedDataset::KillRow(size_t i) {
+  BREP_CHECK(i < n_);
+  for (size_t j = 0; j < m_; ++j) tuples_.Set(i * m_ + j, DeadTuple());
 }
 
 size_t TransformedDataset::AppendRow(std::span<const PointTuple> row) {
   BREP_CHECK(row.size() == m_);
   for (const PointTuple& t : row) tuples_.PushBack(t);
+  NoteLiveRow(row);
   return n_++;
 }
 
@@ -109,27 +146,22 @@ void GrowTo(std::vector<T>& v, size_t n) {
 
 }  // namespace
 
-QueryBounds QBDetermine(const TransformedDataset& st,
-                        std::span<const QueryTriple> q, size_t k,
-                        QBScratch* scratch) {
+void UBTotals(const TransformedDataset& st, std::span<const QueryTriple> q,
+              bool record_ub, QBScratch* scratch) {
+  QBScratch& s = *scratch;
   const size_t n = st.num_points();
   const size_t m = st.num_partitions();
   BREP_CHECK(q.size() == m);
-  BREP_CHECK(k >= 1 && k <= n);
-
-  static thread_local QBScratch tls_scratch;
-  QBScratch& s = scratch != nullptr ? *scratch : tls_scratch;
   GrowTo(s.totals, n);
-  GrowTo(s.ids, n);
-  GrowTo(s.ub, n * m);
+  if (record_ub) GrowTo(s.ub, n * m);
   GrowTo(s.stitch, m);
+  double* ub = record_ub ? s.ub.data() : nullptr;
 
   // Total upper bound per point (Algorithm 4, lines 2-9), batched through
   // the UB kernel over maximal runs of contiguous rows within each CowVec
-  // chunk. Every per-partition bound lands column-major in s.ub so the
-  // anchor's radii are read back below instead of recomputed. A row
-  // straddling a chunk boundary is stitched together and evaluated as a
-  // single-row block, keeping totals byte-identical to the flat loop.
+  // chunk. A row straddling a chunk boundary is stitched together and
+  // evaluated as a single-row block, keeping totals byte-identical to the
+  // flat loop.
   size_t g = 0;         // global tuple index of the current span's start
   size_t stitched = 0;  // tuples collected so far for a straddling row
   st.ForEachTupleSpan([&](std::span<const PointTuple> span) {
@@ -142,7 +174,7 @@ QueryBounds QBDetermine(const TransformedDataset& st,
       if (stitched == m) {
         const size_t row = (g + off) / m - 1;
         simd::UBTotalsBlock(s.stitch.data(), 1, m, q.data(),
-                            s.totals.data() + row, s.ub.data(), n, row);
+                            s.totals.data() + row, ub, n, row);
         stitched = 0;
       }
     }
@@ -150,8 +182,7 @@ QueryBounds QBDetermine(const TransformedDataset& st,
     if (rows_here > 0) {
       const size_t first_row = (g + off) / m;
       simd::UBTotalsBlock(span.data() + off, rows_here, m, q.data(),
-                          s.totals.data() + first_row, s.ub.data(), n,
-                          first_row);
+                          s.totals.data() + first_row, ub, n, first_row);
       off += rows_here * m;
     }
     if (off < span.size()) {
@@ -160,6 +191,20 @@ QueryBounds QBDetermine(const TransformedDataset& st,
     }
     g += span.size();
   });
+}
+
+QueryBounds QBDetermine(const TransformedDataset& st,
+                        std::span<const QueryTriple> q, size_t k,
+                        QBScratch* scratch) {
+  const size_t n = st.num_points();
+  const size_t m = st.num_partitions();
+  BREP_CHECK(k >= 1 && k <= n);
+
+  static thread_local QBScratch tls_scratch;
+  QBScratch& s = scratch != nullptr ? *scratch : tls_scratch;
+  // The anchor's radii are read back from s.ub instead of recomputed.
+  UBTotals(st, q, /*record_ub=*/true, &s);
+  GrowTo(s.ids, n);
 
   // k-th smallest via selection (line 10).
   for (size_t i = 0; i < n; ++i) s.ids[i] = static_cast<uint32_t>(i);

@@ -85,8 +85,10 @@ class TransformedDataset {
                      std::span<const BregmanDivergence> sub_divs);
 
   /// Adopt precomputed tuples (n x m, row-major) -- the persistence open
-  /// path, which must not redo the transform.
-  TransformedDataset(size_t n, size_t m, std::vector<PointTuple> tuples);
+  /// path, which must not redo the transform. `dead_ids` are the tombstoned
+  /// rows (they hold DeadTuple()s and stay out of live_maxima()).
+  TransformedDataset(size_t n, size_t m, std::vector<PointTuple> tuples,
+                     std::span<const uint32_t> dead_ids);
 
   /// The one-partition table over every column of `data`: what a
   /// whole-space DiskBBTree's exact range search reads (partition 0).
@@ -96,11 +98,15 @@ class TransformedDataset {
   size_t num_points() const { return n_; }
   size_t num_partitions() const { return m_; }
 
-  /// Replace row `i` (an insert reusing a tombstoned id, or a delete
-  /// overwriting the row with DeadTuple()s so QBDetermine never selects it).
+  /// Replace row `i` with a live point's tuples (an insert reusing a
+  /// tombstoned id).
   void SetRow(size_t i, std::span<const PointTuple> row);
 
-  /// Append a fresh row; returns its index (the new point's id).
+  /// Overwrite row `i` with DeadTuple()s (a delete), so the bound phase
+  /// never selects it. live_maxima() keeps its values.
+  void KillRow(size_t i);
+
+  /// Append a fresh live row; returns its index (the new point's id).
   size_t AppendRow(std::span<const PointTuple> row);
 
   /// Tuple of a deleted point: its total upper bound is +infinity, so it
@@ -111,6 +117,17 @@ class TransformedDataset {
   }
 
   const PointTuple& At(size_t i, size_t m) const { return tuples_[i * m_ + m]; }
+
+  /// The largest row sums sum_m alpha_abs and sum_m gamma (each summed in
+  /// partition order) over every row written live since construction. A
+  /// delete leaves them unchanged, so they bound every live row of this
+  /// version from above; the seeded searching bound's margin reads them
+  /// (Refiner::SeedRadii). Copied with the table, hence per MVCC version.
+  struct RowMaxima {
+    double alpha_abs = 0.0;
+    double gamma = 0.0;
+  };
+  const RowMaxima& live_maxima() const { return maxima_; }
 
   /// Total tuple count (n * M), for serialization and size checks.
   size_t num_tuples() const { return tuples_.size(); }
@@ -123,9 +140,13 @@ class TransformedDataset {
   }
 
  private:
+  /// Fold a live row into maxima_.
+  void NoteLiveRow(std::span<const PointTuple> row);
+
   size_t n_ = 0;
   size_t m_ = 0;
   CowVec<PointTuple> tuples_;
+  RowMaxima maxima_;
 };
 
 /// Output of Algorithm 4 (QBDetermine): per-subspace searching bounds, i.e.
@@ -140,10 +161,11 @@ struct QueryBounds {
   uint32_t anchor_id = 0;
 };
 
-/// Reusable scratch for QBDetermine: totals/ids for the selection pass, the
-/// M x n upper-bound cache (column-major, ub[j * n + i]) from which the
-/// anchor's radii are read back instead of recomputed, and the stitch buffer
-/// for rows straddling CowVec chunk boundaries. Buffers grow monotonically
+/// Reusable scratch for UBTotals and QBDetermine: totals/ids for the
+/// selection pass, the M x n upper-bound cache (column-major,
+/// ub[j * n + i]) from which QBDetermine reads the anchor's radii back
+/// instead of recomputing them, and the stitch buffer for rows straddling
+/// CowVec chunk boundaries. Buffers grow monotonically
 /// (growth is counted in BuildCounters::qb_scratch_allocs), so steady-state
 /// queries are allocation-free. Not thread-safe: pass one per thread, or
 /// pass nullptr to use an internal thread_local instance (safe under
@@ -155,9 +177,15 @@ struct QBScratch {
   std::vector<PointTuple> stitch;
 };
 
+/// Algorithm 4's totals pass: s->totals[i] = sum_m UBCompute(At(i, m), q[m])
+/// for every row i (+inf for a deleted row), through the batched UB kernel
+/// (simd::UBTotalsBlock). With `record_ub`, every per-partition bound also
+/// lands column-major in s->ub (s->ub[m * n + i]).
+void UBTotals(const TransformedDataset& st, std::span<const QueryTriple> q,
+              bool record_ub, QBScratch* s);
+
 /// Algorithm 4: compute every point's total upper bound, select the k-th
 /// smallest, and return its per-subspace components as the searching bounds.
-/// The totals pass runs through the batched UB kernel (simd::UBTotalsBlock).
 QueryBounds QBDetermine(const TransformedDataset& st,
                         std::span<const QueryTriple> q, size_t k,
                         QBScratch* scratch = nullptr);

@@ -137,11 +137,9 @@ BrePartition::UpdateOutcome BrePartition::DeleteLocked(uint32_t id) {
   if (updates_frozen_) return UpdateOutcome::kFrozen;
   if (!forest_->Delete(id)) return UpdateOutcome::kNotFound;
   // Poison the tuple row: the deleted point's total upper bound becomes
-  // +infinity, so QBDetermine (which scans the whole dense table) can never
-  // pick it as the k-th searching bound while k <= live points.
-  const std::vector<PointTuple> dead(partitions_.size(),
-                                     TransformedDataset::DeadTuple());
-  transformed_.SetRow(id, dead);
+  // +infinity, so the bound phase (which scans the whole dense table) never
+  // picks it as a seed or as QBDetermine's k-th searching bound.
+  transformed_.KillRow(id);
   free_ids_.push_back(id);
   --live_points_;
   ++deletes_;
@@ -647,7 +645,7 @@ std::unique_ptr<BrePartition> BrePartition::Open(Pager* pager,
   for (const auto& cols : index->partitions_) {
     index->sub_divs_.push_back(index->div_.Restrict(cols));
   }
-  index->transformed_ = TransformedDataset(n, m, std::move(tuples));
+  index->transformed_ = TransformedDataset(n, m, std::move(tuples), free_ids);
   index->forest_ = std::make_unique<BBForest>(
       pager, index->div_, index->partitions_, pool_pages, store_layout,
       tree_layouts, index->transformed_);

@@ -11,12 +11,15 @@
 #include "common/work_counters.h"
 #include "divergence/bregman.h"
 #include "divergence/kernels.h"
+#include "storage/point_store.h"
 
 namespace brep {
 
 /// The refine step of every exact BrePartition query (Algorithm 6's last
 /// phase): fetch the filter's candidates page-batched from the forest's
-/// point store and decide them against the query exactly.
+/// point store and decide them against the query exactly. For kNN it also
+/// evaluates the bound phase's seeds (SeedRadii), whose distances prefill
+/// the refine's TopK.
 ///
 /// Each candidate is first bounded through the certified identity
 /// evaluation (simd::IdentityScan::Bounds) from the forest's tuple table
@@ -38,9 +41,23 @@ class Refiner {
   Refiner(const Refiner&) = delete;
   Refiner& operator=(const Refiner&) = delete;
 
-  /// The k nearest candidates, sorted by (distance, id).
-  std::vector<Neighbor> Knn(std::span<const uint32_t> candidates, size_t k,
-                            WorkCounters* work) const;
+  /// The seeded searching bound (README, "Searching bound: exact seeds";
+  /// the proof is above the definition). Fetches the `seeds` -- live ids,
+  /// at least topk->K() of them -- once, evaluates each one's exact
+  /// distance and subspace distances from one phi evaluation per
+  /// coordinate, and pushes every seed into *topk. Returns the radii
+  /// r_m = D_m(p*) + margin / M, rounded up, for p* the K()-th seed in
+  /// (distance, id) order: every point at most as far as p* lies within
+  /// r_m in some subspace m. Seeds count as candidates and exact
+  /// evaluations in *work.
+  /// The seeds' pages are kept for Knn, which reads none of them again.
+  std::vector<double> SeedRadii(std::span<const uint32_t> seeds, TopK* topk,
+                                WorkCounters* work);
+
+  /// Push every candidate that can still enter the (distance, id) top-k
+  /// into *topk (which may hold seeds already).
+  void Knn(std::span<const uint32_t> candidates, TopK* topk,
+           WorkCounters* work) const;
 
   /// The candidates with D(x, y) <= radius, ascending by id.
   std::vector<uint32_t> Range(std::span<const uint32_t> candidates,
@@ -58,6 +75,7 @@ class Refiner {
   Terms TermsOf(uint32_t id, std::span<const double> x) const;
 
   const BBForest& forest_;
+  PointStore::PageMemo seed_pages_;  // kept by SeedRadii for Knn
   simd::DivergenceScan exact_;
   std::optional<simd::IdentityScan> identity_;  // borrows exact_
 };

@@ -271,6 +271,29 @@ double DivergenceScan::One(std::span<const double> x) const {
   return OneStrided(x.data(), 1);
 }
 
+double DivergenceScan::OneWithParts(std::span<const double> x,
+                                    std::span<const std::vector<size_t>> parts,
+                                    std::span<double> phi_x,
+                                    std::span<double> parts_out) const {
+  BREP_DCHECK(x.size() == y_.size() && phi_x.size() == y_.size());
+  BREP_DCHECK(parts_out.size() == parts.size());
+  PhiValuesInto(info_, *gen_, x, phi_x, {});
+  const StoredPhi xs{x, phi_x, {}};
+  const StoredPhi ys{y_, phi_y_, dphi_y_};
+  // ScanPointStrided's addend on the stored phi values, coordinate j.
+  const auto term = [&](size_t j) {
+    return w_.empty() ? xs.phi[j] - ys.phi[j] - ys.dphi[j] * (x[j] - y_[j])
+                      : w_[j] * (xs.phi[j] - ys.phi[j] -
+                                 ys.dphi[j] * (x[j] - y_[j]));
+  };
+  for (size_t m = 0; m < parts.size(); ++m) {
+    double acc = 0.0;
+    for (size_t j : parts[m]) acc += term(j);
+    parts_out[m] = std::max(acc, 0.0);
+  }
+  return std::max(StoredPairDivergence(xs, ys, w_), 0.0);
+}
+
 double DivergenceScan::OneStrided(const double* x, size_t stride) const {
   const ScanCtx c = MakeCtx(gen_, info_, y_, w_, phi_y_, dphi_y_);
   return WithGenerator(info_, *gen_, [&](auto gen) {
@@ -412,6 +435,22 @@ IdentityBounds IdentityScan::Bounds(double alpha, double alpha_abs,
       kC * double(neg_g_.size() + parts + kC0) *
       (0x1p-53 * s + std::numeric_limits<double>::denorm_min());
   return {d_id - e, d_id + e};
+}
+
+double IdentityScan::SplitMargin(double alpha_abs, double gamma,
+                                 double alpha_abs_max,
+                                 double gamma_max) const {
+  double h2 = 0.0;
+  for (double hj : h_) h2 += hj * hj;
+  const double h_norm = std::sqrt(h2);
+  const auto magnitude = [&](double a, double g) {
+    return ((a + q_abs_) + g_abs_) + std::sqrt(g) * h_norm;
+  };
+  const double s = magnitude(alpha_abs, gamma) +
+                   magnitude(alpha_abs_max, gamma_max);
+  if (!(s < guard_)) return std::numeric_limits<double>::infinity();
+  return 4.0 * double(neg_g_.size() + 8) *
+         (0x1p-53 * s + std::numeric_limits<double>::denorm_min());
 }
 
 bool IdentityScan::WithinRadius(double alpha, double alpha_abs, double bxy,

@@ -181,6 +181,16 @@ class DivergenceScan {
   /// D(x, y) for a single point (clamped at 0 like Divergence).
   double One(std::span<const double> x) const;
 
+  /// One(x), bit-identical, together with parts_out[m] = the same
+  /// expression over the coordinates parts[m] in their listed order,
+  /// clamped at 0: the value a subspace tree over that column list compares
+  /// (its sub-divergence sums the same terms in that order). Evaluates phi
+  /// once per coordinate into `phi_x` (dim() doubles of scratch).
+  double OneWithParts(std::span<const double> x,
+                      std::span<const std::vector<size_t>> parts,
+                      std::span<double> phi_x,
+                      std::span<double> parts_out) const;
+
   /// D(x_i, y) for `count` points stored column-major (SoA):
   /// xs[j * count + i] is coordinate j of point i. out[count].
   void BatchSoA(const double* xs, size_t count, double* out) const;
@@ -274,6 +284,19 @@ class IdentityScan {
   bool WithinRadius(double alpha, double alpha_abs, double bxy, double gx,
                     size_t parts, double radius, const double* x,
                     size_t stride, uint64_t* exact_evals) const;
+
+  /// The margin the seeded searching bound adds to one point's subspace
+  /// divergences (README, "Searching bound: exact seeds"; the proof is
+  /// above Refiner::SeedRadii):
+  ///   4 (d + 8) (2^-53 (s_p + s_max) + 2^-1074),
+  /// where s_p bounds the magnitude sum Bounds() uses for the point and
+  /// s_max bounds it over every live point, each from stored row sums:
+  /// s = alpha_abs + Q_y + G_y + sqrt(gamma) ||h||, with alpha_abs and
+  /// gamma the sums of the row's stored tuples (for s_max, their maxima
+  /// over the live rows). +inf when the guard of Bounds() refuses
+  /// s_p + s_max (a magnitude near overflow, or a NaN or infinite input).
+  double SplitMargin(double alpha_abs, double gamma, double alpha_abs_max,
+                     double gamma_max) const;
 
  private:
   const DivergenceScan& exact_;

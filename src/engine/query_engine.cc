@@ -1,6 +1,7 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "common/check.h"
@@ -45,6 +46,46 @@ class StorageDelta {
   BBForest::PoolTraffic pool_before_;
 };
 
+/// The bound phase's seeds, ascending by id: the min(kSeedsPerK * k, live)
+/// live points with the smallest upper-bound totals (Algorithm 4's totals
+/// pass), ties broken by id. A finite total means a live point (a deleted
+/// row's total is +inf or NaN); live points without a finite total fill up
+/// in id order when too few have one.
+std::vector<uint32_t> SelectSeeds(const BrePartition::ReadView& view,
+                                  std::span<const QueryTriple> triples,
+                                  size_t k) {
+  static thread_local QBScratch scratch;
+  UBTotals(view.transformed(), triples, /*record_ub=*/false, &scratch);
+  const std::vector<double>& totals = scratch.totals;
+  const size_t n = view.transformed().num_points();
+  const size_t count =
+      std::min(QueryEngine::kSeedsPerK * k, view.num_points());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  std::vector<uint32_t>& ids = scratch.ids;
+  ids.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (totals[i] < kInf) ids.push_back(static_cast<uint32_t>(i));
+  }
+  if (ids.size() > count) {
+    std::nth_element(ids.begin(), ids.begin() + ptrdiff_t(count - 1),
+                     ids.end(), [&](uint32_t a, uint32_t b) {
+                       if (totals[a] != totals[b]) return totals[a] < totals[b];
+                       return a < b;
+                     });
+    ids.resize(count);
+  }
+  const PointStore& store = view.forest().point_store();
+  for (size_t i = 0; i < n && ids.size() < count; ++i) {
+    if (!(totals[i] < kInf) && store.Contains(static_cast<uint32_t>(i))) {
+      ids.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  std::vector<uint32_t> seeds(ids.begin(), ids.end());
+  std::sort(seeds.begin(), seeds.end());
+  return seeds;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(const BrePartition& index,
@@ -76,12 +117,12 @@ std::vector<std::vector<uint32_t>> QueryEngine::FilterAllTrees(
   return per_tree;
 }
 
-std::vector<Neighbor> QueryEngine::FilterRefine(
-    const BrePartition::ReadView& view, std::span<const double> y,
-    std::span<const std::vector<double>> y_subs, std::span<const double> radii,
-    size_t k, bool fan_out, QueryStats* q) const {
-  const StorageDelta storage(*index_->pager(), view.forest());
-
+void QueryEngine::FilterRefine(const BrePartition::ReadView& view,
+                               const Refiner& refiner,
+                               std::span<const std::vector<double>> y_subs,
+                               std::span<const double> radii,
+                               std::span<const uint32_t> decided,
+                               bool fan_out, TopK* topk, QueryStats* q) const {
   // Filter: per-subspace range queries, union of candidates (Theorem 3:
   // a true neighbor's subspace divergences cannot all exceed the radii).
   Timer filter_timer;
@@ -98,16 +139,15 @@ std::vector<Neighbor> QueryEngine::FilterRefine(
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
+    std::erase_if(candidates, [&](uint32_t id) {
+      return std::binary_search(decided.begin(), decided.end(), id);
+    });
   }
   q->filter_ms += filter_timer.ElapsedMillis();
 
   Timer refine_timer;
-  auto result =
-      Refiner(view.forest(), index_->divergence(), y).Knn(candidates, k, q);
+  refiner.Knn(candidates, topk, q);
   q->refine_ms += refine_timer.ElapsedMillis();
-
-  storage.Into(q);
-  return result;
 }
 
 std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
@@ -121,17 +161,27 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
   QueryStats local;
   QueryStats& q = qstats != nullptr ? *qstats : local;
   Timer total_timer;
+  const StorageDelta storage(*index_->pager(), view.forest());
 
-  // Bound phase (Algorithms 3 + 4).
+  // Bound phase: Algorithm 3, Algorithm 4's totals pass, then the exact
+  // seeds, whose k-th distance is split across the subspaces as the radii
+  // (README, "Searching bound: exact seeds"). The seeds' distances prefill
+  // the refine's top-k, so the refine skips their rows.
   Timer bound_timer;
   const auto y_subs = index_->GatherQuery(y);
   const auto triples = index_->TransformQueryAll(y_subs);
-  const QueryBounds qb = QBDetermine(view.transformed(), triples, k);
+  const std::vector<uint32_t> seeds = SelectSeeds(view, triples, k);
+  Refiner refiner(view.forest(), index_->divergence(), y);
+  TopK topk(k);
+  const std::vector<double> radii = refiner.SeedRadii(seeds, &topk, &q);
   q.bound_ms += bound_timer.ElapsedMillis();
-  q.radius_total = qb.total;
+  q.radius_total = 0.0;
+  for (double r : radii) q.radius_total += r;
 
-  auto result = FilterRefine(view, y, y_subs, qb.radii, k, fan_out, &q);
+  FilterRefine(view, refiner, y_subs, radii, seeds, fan_out, &topk, &q);
+  auto result = topk.SortedResults();
 
+  storage.Into(&q);
   q.total_ms = total_timer.ElapsedMillis();
   if (lane_work != nullptr) *lane_work += q;
   obs::QueryRecordContext ctx;
@@ -216,7 +266,13 @@ std::vector<Neighbor> QueryEngine::KnnWithRadii(
   BREP_CHECK(y_subs.size() == view.forest().num_partitions());
   BREP_CHECK(radii.size() == y_subs.size());
   BREP_CHECK(stats != nullptr);
-  return FilterRefine(view, y, y_subs, radii, k, /*fan_out=*/true, stats);
+  const StorageDelta storage(*index_->pager(), view.forest());
+  const Refiner refiner(view.forest(), index_->divergence(), y);
+  TopK topk(k);
+  FilterRefine(view, refiner, y_subs, radii, /*decided=*/{}, /*fan_out=*/true,
+               &topk, stats);
+  storage.Into(stats);
+  return topk.SortedResults();
 }
 
 std::vector<uint32_t> QueryEngine::RangeSearch(std::span<const double> y,

@@ -223,9 +223,17 @@ void PointStore::Fetch(uint32_t id, std::span<double> out) const {
               dim_ * sizeof(double));
 }
 
+const PageBuffer* PointStore::PageMemo::Find(PageId id) const {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it == ids.end() || *it != id) return nullptr;
+  return &pages[static_cast<size_t>(it - ids.begin())];
+}
+
 void PointStore::FetchMany(
     std::span<const uint32_t> ids,
-    const std::function<void(uint32_t, std::span<const double>)>& cb) const {
+    const std::function<void(uint32_t, std::span<const double>)>& cb,
+    const PageMemo* reuse, PageMemo* keep) const {
+  BREP_CHECK(keep == nullptr || keep->ids.empty());
   // Group requested ids by page, then read each page once in ascending
   // order (a real engine would sort candidate addresses the same way).
   std::vector<uint32_t> sorted(ids.begin(), ids.end());
@@ -238,16 +246,26 @@ void PointStore::FetchMany(
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
   PageBuffer buf;
+  const PageBuffer* page = nullptr;
   PageId loaded = kInvalidPageId;
   for (uint32_t id : sorted) {
     BREP_CHECK_MSG(Contains(id), "FetchMany of an id that is not stored");
     const PointAddress addr = address_of_[id];
     if (addr.page != loaded) {
-      src_->FetchPage(addr.page, &buf);
       loaded = addr.page;
+      page = reuse != nullptr ? reuse->Find(addr.page) : nullptr;
+      if (page == nullptr) {
+        PageBuffer* into = &buf;
+        if (keep != nullptr) {
+          keep->ids.push_back(addr.page);
+          into = &keep->pages.emplace_back();
+        }
+        src_->FetchPage(addr.page, into);
+        page = into;
+      }
     }
     const auto* doubles = reinterpret_cast<const double*>(
-        buf.data() + addr.slot * dim_ * sizeof(double));
+        page->data() + addr.slot * dim_ * sizeof(double));
     cb(id, std::span<const double>(doubles, dim_));
   }
 }

@@ -120,12 +120,26 @@ class PointStore {
   /// Read one live point (charges a read of its page).
   void Fetch(uint32_t id, std::span<double> out) const;
 
+  /// Pages one query keeps between two fetches, so the second does not
+  /// read again a page the first read (a kNN query's seeds, then its
+  /// refine). Ascending by page id.
+  struct PageMemo {
+    std::vector<PageId> ids;
+    std::vector<PageBuffer> pages;
+    /// The kept page `id`, or nullptr.
+    const PageBuffer* Find(PageId id) const;
+  };
+
   /// Fetch a batch: distinct pages are read once each, in ascending page
   /// order; `cb` is invoked once per requested id (duplicates in `ids` are
-  /// collapsed). This is the refinement step's I/O pattern.
+  /// collapsed). This is the refinement step's I/O pattern. Pages `reuse`
+  /// holds are served from it without a read; every page read is added to
+  /// `keep` (which must start empty).
   void FetchMany(std::span<const uint32_t> ids,
                  const std::function<void(uint32_t, std::span<const double>)>&
-                     cb) const;
+                     cb,
+                 const PageMemo* reuse = nullptr,
+                 PageMemo* keep = nullptr) const;
 
   /// Number of distinct pages a batch would touch (the per-query I/O cost of
   /// refinement, without actually fetching).

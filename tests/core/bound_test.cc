@@ -170,5 +170,61 @@ TEST_F(QBDetermineTest, SelfQueryAnchorsAtK1OnItself) {
   }
 }
 
+TEST_F(QBDetermineTest, LiveMaximaBoundEveryLiveRowAndSkipDeadOnes) {
+  // The seeded bound's margin reads the largest row sums of alpha_abs and
+  // gamma over live rows; a deleted row (+inf alpha_abs) must not count.
+  const auto row_sums = [&](const TransformedDataset& t, size_t i) {
+    double alpha_abs = 0.0;
+    double gamma = 0.0;
+    for (size_t m = 0; m < kM; ++m) {
+      alpha_abs += t.At(i, m).alpha_abs;
+      gamma += t.At(i, m).gamma;
+    }
+    return std::make_pair(alpha_abs, gamma);
+  };
+  TransformedDataset t = transformed_;
+  double max_alpha_abs = 0.0;
+  double max_gamma = 0.0;
+  size_t argmax = 0;
+  for (size_t i = 0; i < data_.rows(); ++i) {
+    const auto [a, g] = row_sums(t, i);
+    max_alpha_abs = std::max(max_alpha_abs, a);
+    if (g > max_gamma) {
+      max_gamma = g;
+      argmax = i;
+    }
+  }
+  EXPECT_EQ(t.live_maxima().alpha_abs, max_alpha_abs);
+  EXPECT_EQ(t.live_maxima().gamma, max_gamma);
+
+  // A delete leaves the maxima as they were (still upper bounds).
+  t.KillRow(argmax);
+  EXPECT_TRUE(std::isinf(t.At(argmax, 0).alpha_abs));
+  EXPECT_EQ(t.live_maxima().gamma, max_gamma);
+
+  // A live row raises them.
+  std::vector<PointTuple> big(kM);
+  for (PointTuple& p : big) p = {1.0, 2 * max_gamma, 2 * max_alpha_abs};
+  t.SetRow(argmax, big);
+  EXPECT_EQ(t.live_maxima().alpha_abs, 2 * kM * max_alpha_abs);
+  EXPECT_EQ(t.live_maxima().gamma, 2 * kM * max_gamma);
+  t.KillRow(argmax);
+
+  // Reopened from raw tuples, the dead row is skipped.
+  std::vector<PointTuple> flat;
+  t.ForEachTupleSpan([&](std::span<const PointTuple> chunk) {
+    flat.insert(flat.end(), chunk.begin(), chunk.end());
+  });
+  const uint32_t dead[] = {static_cast<uint32_t>(argmax)};
+  const TransformedDataset reopened(data_.rows(), kM, flat, dead);
+  double live_gamma = 0.0;
+  for (size_t i = 0; i < data_.rows(); ++i) {
+    if (i != argmax) live_gamma = std::max(live_gamma, row_sums(t, i).second);
+  }
+  EXPECT_EQ(reopened.live_maxima().gamma, live_gamma);
+  EXPECT_LT(reopened.live_maxima().gamma, max_gamma);
+  EXPECT_TRUE(std::isfinite(reopened.live_maxima().alpha_abs));
+}
+
 }  // namespace
 }  // namespace brep

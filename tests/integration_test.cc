@@ -101,8 +101,8 @@ TEST_F(IntegrationTest, SharedPagerIsolatesPerQueryIo) {
 
 TEST_F(IntegrationTest, MorePartitionsTightenTheBound) {
   // The driver of the paper's Fig. 8: the Cauchy bound tightens as M grows
-  // (UB = A alpha^M with alpha < 1), so the searching radius shrinks -- and
-  // candidates stay well below a full scan at every M.
+  // (UB = A alpha^M with alpha < 1), so Algorithm 4's searching radius
+  // shrinks -- and candidates stay well below a full scan at every M.
   Rng rng(41);
   const Matrix data = MakeFontsLike(rng, 1500, 32);
   const BregmanDivergence div = MakeDivergence("itakura_saito", 32);
@@ -119,7 +119,7 @@ TEST_F(IntegrationTest, MorePartitionsTightenTheBound) {
     for (size_t q = 0; q < queries.rows(); ++q) {
       QueryStats stats;
       testing::ExactKnn(bp, queries.Row(q), kK, &stats);
-      radius += stats.radius_total;
+      radius += testing::Algorithm4Total(bp, queries.Row(q), kK);
       candidates += stats.candidates;
     }
     return std::make_pair(radius, candidates);

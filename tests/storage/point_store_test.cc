@@ -70,6 +70,33 @@ TEST(PointStoreTest, FetchManyReadsEachPageOnce) {
   EXPECT_EQ(store.CountDistinctPages(ids), 3u);
 }
 
+TEST(PointStoreTest, KeptPagesAreNotReadAgain) {
+  // A kNN query fetches its seeds keeping their pages, then its refine
+  // candidates reusing them: a page both touch is read once.
+  MemPager pager(256);  // 8 points per page
+  const Matrix data = TestData(64, 4);
+  const PointStore store(&pager, data, {});
+  pager.ResetStats();
+  PointStore::PageMemo memo;
+  store.FetchMany(std::vector<uint32_t>{1, 9, 40},
+                  [](uint32_t, std::span<const double>) {}, nullptr, &memo);
+  EXPECT_EQ(pager.stats().reads, 3u);  // pages 0, 1, 5
+  EXPECT_EQ(memo.ids, (std::vector<PageId>{store.AddressOf(1).page,
+                                           store.AddressOf(9).page,
+                                           store.AddressOf(40).page}));
+  std::set<uint32_t> seen;
+  store.FetchMany(std::vector<uint32_t>{2, 10, 16, 41},
+                  [&](uint32_t id, std::span<const double> x) {
+                    seen.insert(id);
+                    for (size_t j = 0; j < 4; ++j) {
+                      EXPECT_DOUBLE_EQ(x[j], data.At(id, j));
+                    }
+                  },
+                  &memo);
+  EXPECT_EQ(pager.stats().reads, 4u);  // only page 2 is new
+  EXPECT_EQ(seen, (std::set<uint32_t>{2, 10, 16, 41}));
+}
+
 TEST(PointStoreTest, ClusteredIdsCostFewerPagesThanScattered) {
   MemPager pager(512);  // 16 points per page
   const Matrix data = TestData(160, 4);

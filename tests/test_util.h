@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/top_k.h"
+#include "core/bound.h"
 #include "core/brepartition.h"
 #include "core/stats.h"
 #include "dataset/matrix.h"
@@ -70,6 +71,16 @@ inline std::vector<Neighbor> ExactKnn(const BrePartition& index,
   QueryEngineOptions options;
   options.num_threads = 1;
   return QueryEngine(index, options).KnnSearch(y, k, stats);
+}
+
+/// Algorithm 4's searching-bound total for `y`: the k-th smallest total
+/// Cauchy-Schwarz upper bound. The approximate extension scales it
+/// (Proposition 1); the exact engine's seeded radii replace it.
+inline double Algorithm4Total(const BrePartition& index,
+                              std::span<const double> y, size_t k) {
+  const BrePartition::ReadView view = index.OpenReadView();
+  const auto triples = index.TransformQueryAll(index.GatherQuery(y));
+  return QBDetermine(view.transformed(), triples, k).total;
 }
 
 /// Gtest-safe parameterized-test name for a generator spec ("lp:3" ->
