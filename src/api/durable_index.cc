@@ -158,9 +158,9 @@ Status SaveDurable(const BrePartition& bp, WalWriter* wal,
     return Status::Internal("cannot create index file \"" + tmp +
                             "\": " + error);
   }
-  PageBuffer buf;
+  PageBuffer buf(snap.page_size());
   for (PageId id = 0; id < snap.num_pages(); ++id) {
-    snap.FetchPage(id, &buf);
+    snap.FetchPage(id, buf.data());
     const PageId copied = out->Allocate();
     BREP_CHECK(copied == id);  // fresh pager: ids stay aligned
     out->Write(copied, buf);

@@ -139,8 +139,9 @@ std::vector<uint32_t> BBTree::RangeSearch(std::span<const double> y,
         if (leaf_d[i] <= radius) result.push_back(node.ids[i]);
       }
     } else {
-      stack.push_back(node.left);
+      // Left subtree first, in DiskBBTree::RangeSearchExact's order.
       stack.push_back(node.right);
+      stack.push_back(node.left);
     }
   }
   return result;

@@ -36,6 +36,12 @@ T ReadValue(const uint8_t* p) {
   return v;
 }
 
+// A decode buffer as the bytes ReadBytes fills.
+template <typename T>
+std::span<uint8_t> AsBytes(std::vector<T>& v) {
+  return {reinterpret_cast<uint8_t*>(v.data()), v.size() * sizeof(T)};
+}
+
 // Byte offsets of the in-place-updatable header fields.
 constexpr uint64_t kOffCount = 1;   // u32 subtree point count
 constexpr uint64_t kOffRadius = 5;  // f64 ball radius
@@ -292,7 +298,10 @@ std::vector<PageId> DiskBBTree::LivePages() const {
   return live;
 }
 
-void DiskBBTree::ReadBytes(uint64_t start, size_t len, uint8_t* out) const {
+void DiskBBTree::ReadBytes(
+    uint64_t start, std::initializer_list<std::span<uint8_t>> outs) const {
+  size_t len = 0;
+  for (const std::span<uint8_t> out : outs) len += out.size();
   // Node pages carry no checksum (the paper's I/O metric would be distorted
   // by verifying every page on every read), so offsets and counts decoded
   // from them are bounds-checked before they can index past the page list
@@ -302,6 +311,8 @@ void DiskBBTree::ReadBytes(uint64_t start, size_t len, uint8_t* out) const {
   BREP_CHECK_MSG(uint64_t{len} <= extent && start <= extent - len,
                  "corrupted tree page (node range out of bounds)");
   const size_t page_size = page_size_;
+  auto out = outs.begin();
+  size_t out_pos = 0;  // bytes of *out already filled
   size_t done = 0;
   while (done < len) {
     const uint64_t pos = start + done;
@@ -311,7 +322,19 @@ void DiskBBTree::ReadBytes(uint64_t start, size_t len, uint8_t* out) const {
     BREP_CHECK_MSG(pages_[page_idx] != kInvalidPageId,
                    "corrupted tree page (node range on a released page)");
     const PagePin buf = pool_->ReadPinned(pages_[page_idx], *src_);
-    std::memcpy(out + done, buf->data() + in_page, chunk);
+    const uint8_t* src = buf->data() + in_page;
+    // Deal this page's bytes out to the destinations they belong to.
+    for (size_t left = chunk; left > 0;) {
+      while (out_pos == out->size()) {
+        ++out;
+        out_pos = 0;
+      }
+      const size_t n = std::min(left, out->size() - out_pos);
+      std::memcpy(out->data() + out_pos, src, n);
+      src += n;
+      left -= n;
+      out_pos += n;
+    }
     done += chunk;
   }
 }
@@ -347,13 +370,11 @@ void DiskBBTree::WriteField(uint64_t off, T v) {
   WriteBytes(off, std::span<const uint8_t>(raw, sizeof(T)));
 }
 
-void DiskBBTree::ReadNodeHeader(uint64_t off, DiskNode* node,
-                                std::vector<uint8_t>* bytes) const {
+void DiskBBTree::ReadNodeHeader(uint64_t off, DiskNode* node) const {
   const size_t dim = div_.dim();
-  const size_t fixed = NodeFixedBytes();
-  bytes->resize(fixed);
-  ReadBytes(off, fixed, bytes->data());
-  const uint8_t* head = bytes->data();
+  uint8_t head[kHeadBytes] = {};
+  node->ball.center.resize(dim);
+  ReadBytes(off, {std::span<uint8_t>(head), AsBytes(node->ball.center)});
 
   size_t pos = 0;
   node->is_leaf = head[pos] != 0;
@@ -365,48 +386,38 @@ void DiskBBTree::ReadNodeHeader(uint64_t off, DiskNode* node,
   node->dist_mean = ReadValue<double>(&head[pos]);
   pos += 8;
   node->dist_std = ReadValue<double>(&head[pos]);
-  pos += 8;
-  node->ball.center.resize(dim);
-  std::memcpy(node->ball.center.data(), &head[pos], dim * sizeof(double));
 }
 
 DiskBBTree::DiskNode DiskBBTree::ReadNodeHeader(uint64_t off) const {
   DiskNode node;
-  std::vector<uint8_t> bytes;
-  ReadNodeHeader(off, &node, &bytes);
+  ReadNodeHeader(off, &node);
   return node;
 }
 
-void DiskBBTree::ReadNodeTail(uint64_t off, DiskNode* node,
-                              std::vector<uint8_t>* bytes) const {
-  const size_t dim = div_.dim();
-  const size_t fixed = NodeFixedBytes();
+void DiskBBTree::CheckLeafPayload(uint64_t off, uint32_t count) const {
   const uint64_t extent = uint64_t{pages_.size()} * page_size_;
-  full_node_reads_->fetch_add(1, std::memory_order_relaxed);
-  if (node->is_leaf) {
-    const uint64_t tail_bytes =
-        uint64_t{node->count} * (4 + dim * sizeof(double));
-    BREP_CHECK_MSG(  // before any count-driven allocation
-        tail_bytes <= extent && off + fixed <= extent - tail_bytes,
-        "corrupted tree page (leaf payload out of bounds)");
-    node->ids.resize(node->count);
-    node->points.resize(size_t(node->count) * dim);
-    bytes->resize(static_cast<size_t>(tail_bytes));
-    ReadBytes(off + fixed, bytes->size(), bytes->data());
-    std::memcpy(node->ids.data(), bytes->data(), 4 * node->count);
-    std::memcpy(node->points.data(), bytes->data() + 4 * node->count,
-                node->points.size() * sizeof(double));
-  } else {
-    uint8_t tail[16];
-    ReadBytes(off + fixed, 16, tail);
-    node->left_off = ReadValue<uint64_t>(&tail[0]);
-    node->right_off = ReadValue<uint64_t>(&tail[8]);
-  }
+  const uint64_t tail_bytes = uint64_t{count} * (4 + dim() * sizeof(double));
+  BREP_CHECK_MSG(  // before any count-driven allocation
+      tail_bytes <= extent && off + NodeFixedBytes() <= extent - tail_bytes,
+      "corrupted tree page (leaf payload out of bounds)");
 }
 
 void DiskBBTree::ReadNodeTail(uint64_t off, DiskNode* node) const {
-  std::vector<uint8_t> bytes;
-  ReadNodeTail(off, node, &bytes);
+  const uint64_t tail = off + NodeFixedBytes();
+  full_node_reads_->fetch_add(1, std::memory_order_relaxed);
+  if (node->is_leaf) {
+    CheckLeafPayload(off, node->count);
+    node->ids.resize(node->count);
+    node->points.resize(size_t(node->count) * dim());
+    // The ids and the SoA vectors are adjacent on the pages: one pass
+    // copies each straight into its buffer.
+    ReadBytes(tail, {AsBytes(node->ids), AsBytes(node->points)});
+  } else {
+    uint8_t offsets[16] = {};
+    ReadBytes(tail, {std::span<uint8_t>(offsets)});
+    node->left_off = ReadValue<uint64_t>(&offsets[0]);
+    node->right_off = ReadValue<uint64_t>(&offsets[8]);
+  }
 }
 
 DiskBBTree::DiskNode DiskBBTree::ReadNode(uint64_t off) const {
@@ -980,17 +991,16 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(
   std::vector<double> gx;
   BallQuery balls(div_, scan, bound_iters_, &st.ball_steps);
   DiskNode node;  // decode buffers reused across the descent
-  std::vector<uint8_t> bytes;
 
   std::vector<uint32_t> result;
   std::vector<uint64_t> stack{root_offset_};
   while (!stack.empty()) {
     const uint64_t off = stack.back();
     stack.pop_back();
-    ReadNodeHeader(off, &node, &bytes);
+    ReadNodeHeader(off, &node);
     ++st.nodes_visited;
     if (!balls.MayReachRange(node.ball, radius)) continue;
-    ReadNodeTail(off, &node, &bytes);
+    ReadNodeTail(off, &node);
     if (node.is_leaf) {
       ++st.leaves_visited;
       const size_t count = node.ids.size();
@@ -1019,11 +1029,68 @@ std::vector<uint32_t> DiskBBTree::RangeSearchExact(
         }
       }
     } else {
-      stack.push_back(node.left_off);
+      // Left child on top: the descent walks the bulk build's preorder
+      // layout forwards, so it leaves each page for good once done with it
+      // and a small pool misses it at most once.
       stack.push_back(node.right_off);
+      stack.push_back(node.left_off);
     }
   }
   return result;
+}
+
+std::vector<uint32_t> DiskBBTree::NearestLeafIds(std::span<const double> y,
+                                                 size_t count,
+                                                 WorkCounters* stats) const {
+  BREP_CHECK(y.size() == div_.dim());
+  WorkCounters local;
+  WorkCounters& st = stats != nullptr ? *stats : local;
+  std::vector<uint32_t> ids;
+  if (root_offset_ == kNoNode) return ids;
+
+  const simd::DivergenceScan scan(div_, y);
+  // Keyed by D(center, y) from the node's header, read at push time; a
+  // popped leaf reads its ids, a popped interior node its child offsets.
+  struct Entry {
+    double key;
+    uint64_t off;
+    bool is_leaf;
+    uint32_t count;
+    bool operator>(const Entry& o) const {
+      return key != o.key ? key > o.key : off > o.off;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
+  DiskNode node;  // decode buffers reused across the walk
+  const auto push = [&](uint64_t off) {
+    ReadNodeHeader(off, &node);
+    const double d = scan.One(node.ball.center);
+    frontier.push(Entry{std::isnan(d) ? std::numeric_limits<double>::infinity()
+                                      : d,
+                        off, node.is_leaf, node.count});
+  };
+  push(root_offset_);
+  while (!frontier.empty() && ids.size() < count) {
+    const Entry e = frontier.top();
+    frontier.pop();
+    ++st.nodes_visited;
+    if (e.is_leaf) {
+      ++st.leaves_visited;
+      CheckLeafPayload(e.off, e.count);
+      const size_t have = ids.size();
+      ids.resize(have + e.count);
+      ReadBytes(e.off + NodeFixedBytes(),
+                {std::span(reinterpret_cast<uint8_t*>(ids.data() + have),
+                           size_t{e.count} * sizeof(uint32_t))});
+    } else {
+      node.is_leaf = false;  // `node` holds the last header pushed, not e's
+      ReadNodeTail(e.off, &node);
+      const uint64_t left = node.left_off, right = node.right_off;
+      push(left);
+      push(right);
+    }
+  }
+  return ids;
 }
 
 template <typename Gate>
@@ -1042,7 +1109,6 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
   // ball tested below.
   const simd::DivergenceScan scan(div_, y);
   BallQuery balls(div_, scan, bound_iters_, &st.ball_steps);
-  std::vector<uint8_t> bytes;  // decode scratch reused across the descent
 
   TopK topk(k);
   // The frontier carries each node's decoded header (read once, at push
@@ -1056,7 +1122,7 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
   DiskNode root;
-  ReadNodeHeader(root_offset_, &root, &bytes);
+  ReadNodeHeader(root_offset_, &root);
   frontier.push(Entry{0.0, root_offset_, std::move(root)});
 
   while (!frontier.empty()) {
@@ -1067,7 +1133,7 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
     frontier.pop();
     if (e.lb >= topk.Threshold()) continue;
     DiskNode node = std::move(e.header);
-    ReadNodeTail(e.off, &node, &bytes);
+    ReadNodeTail(e.off, &node);
     ++st.nodes_visited;
     if (!gate(e.lb, node, topk.Threshold())) continue;
     if (node.is_leaf) {
@@ -1079,8 +1145,8 @@ std::vector<Neighbor> DiskBBTree::KnnImpl(std::span<const double> y, size_t k,
                       });
     } else {
       DiskNode left, right;
-      ReadNodeHeader(node.left_off, &left, &bytes);
-      ReadNodeHeader(node.right_off, &right, &bytes);
+      ReadNodeHeader(node.left_off, &left);
+      ReadNodeHeader(node.right_off, &right);
       const double lb_l = balls.LowerBound(left.ball);
       const double lb_r = balls.LowerBound(right.ball);
       if (lb_l < topk.Threshold()) {

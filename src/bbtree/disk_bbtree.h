@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <span>
@@ -164,6 +165,16 @@ class DiskBBTree {
                                          size_t partition,
                                          WorkCounters* stats = nullptr) const;
 
+  /// The ids of the leaves nearest `y`, for the exact kNN bound phase's
+  /// seeds: a best-first walk that expands nodes in ascending
+  /// D(center, y) -- an order, not a bound -- and takes every leaf it
+  /// reaches whole, until at least `count` ids are held or the tree is
+  /// exhausted. Reads node headers, child offsets and leaf id lists, never
+  /// the leaf vectors. Unordered; counts the expanded nodes and leaves.
+  std::vector<uint32_t> NearestLeafIds(std::span<const double> y,
+                                       size_t count,
+                                       WorkCounters* stats = nullptr) const;
+
   /// Exact branch-and-bound kNN ("BBT" baseline): node pruning uses this
   /// tree's balls, candidate points are fetched from `store` (which must
   /// have this tree's dimensionality) and evaluated with the tree's own
@@ -210,8 +221,11 @@ class DiskBBTree {
     bool from_left;  // which child pointer of the parent leads here
   };
 
+  /// A node record's scalar prefix: is_leaf u8, count u32, radius, and
+  /// the two distance statistics; the center follows it.
+  static constexpr size_t kHeadBytes = 1 + 4 + 3 * sizeof(double);
   size_t NodeFixedBytes() const {
-    return 1 + 4 + 3 * sizeof(double) + div_.dim() * sizeof(double);
+    return kHeadBytes + div_.dim() * sizeof(double);
   }
   size_t LeafRecordBytes(size_t count) const {
     return NodeFixedBytes() + count * (4 + div_.dim() * sizeof(double));
@@ -221,22 +235,25 @@ class DiskBBTree {
   DiskNode ReadNode(uint64_t offset) const;
   /// Header-only read: the fixed-size prefix (flags, count, radius,
   /// distance stats, center) -- everything a ball test needs, without the
-  /// leaf payload or child offsets. Decodes into `node`'s buffers through
-  /// the byte scratch `bytes` with one ReadBytes, so a search that reuses
-  /// both allocates nothing per node; fields the header does not hold keep
-  /// their old values until ReadNodeTail.
-  void ReadNodeHeader(uint64_t offset, DiskNode* node,
-                      std::vector<uint8_t>* bytes) const;
+  /// leaf payload or child offsets. Decodes into `node`'s buffers with one
+  /// ReadBytes, so a search that reuses the node allocates nothing per
+  /// node; fields the header does not hold keep their old values until
+  /// ReadNodeTail.
+  void ReadNodeHeader(uint64_t offset, DiskNode* node) const;
   DiskNode ReadNodeHeader(uint64_t offset) const;
   /// Complete a header-read node in place: fetch the leaf payload or the
-  /// child offsets (one ReadBytes), reusing `node`'s id and point buffers
-  /// and the byte scratch. Counts one full node materialization.
-  void ReadNodeTail(uint64_t offset, DiskNode* node,
-                    std::vector<uint8_t>* bytes) const;
+  /// child offsets (one ReadBytes), reusing `node`'s id and point buffers.
+  /// Counts one full node materialization.
   void ReadNodeTail(uint64_t offset, DiskNode* node) const;
+  /// Abort unless a leaf payload of `count` entries at `offset` fits the
+  /// page table (a corrupted count must not drive an allocation).
+  void CheckLeafPayload(uint64_t offset, uint32_t count) const;
   /// Page-spanning byte fetch through the pool, bounds-checked against the
-  /// page table.
-  void ReadBytes(uint64_t start, size_t len, uint8_t* out) const;
+  /// page table: the bytes from `start` on fill `outs` back to back. Each
+  /// page is pinned once and each byte copied once, straight from the
+  /// pinned page into its destination.
+  void ReadBytes(uint64_t start,
+                 std::initializer_list<std::span<uint8_t>> outs) const;
   /// Page-spanning byte store (read-modify-write through the pager, never
   /// the pool); invalidates the pool entry of every touched page.
   void WriteBytes(uint64_t start, std::span<const uint8_t> bytes);

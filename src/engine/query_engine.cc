@@ -46,20 +46,19 @@ class StorageDelta {
   BBForest::PoolTraffic pool_before_;
 };
 
-/// The bound phase's seeds, ascending by id: the min(kSeedsPerK * k, live)
+/// S_ub of QueryEngine::SelectSeeds, appended to *out: the min(k, live)
 /// live points with the smallest upper-bound totals (Algorithm 4's totals
 /// pass), ties broken by id. A finite total means a live point (a deleted
 /// row's total is +inf or NaN); live points without a finite total fill up
 /// in id order when too few have one.
-std::vector<uint32_t> SelectSeeds(const BrePartition::ReadView& view,
-                                  std::span<const QueryTriple> triples,
-                                  size_t k) {
+void AppendLowestTotals(const BrePartition::ReadView& view,
+                        std::span<const QueryTriple> triples, size_t k,
+                        std::vector<uint32_t>* out) {
   static thread_local QBScratch scratch;
   UBTotals(view.transformed(), triples, /*record_ub=*/false, &scratch);
   const std::vector<double>& totals = scratch.totals;
   const size_t n = view.transformed().num_points();
-  const size_t count =
-      std::min(QueryEngine::kSeedsPerK * k, view.num_points());
+  const size_t count = std::min(k, view.num_points());
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   std::vector<uint32_t>& ids = scratch.ids;
@@ -81,12 +80,22 @@ std::vector<uint32_t> SelectSeeds(const BrePartition::ReadView& view,
       ids.push_back(static_cast<uint32_t>(i));
     }
   }
-  std::vector<uint32_t> seeds(ids.begin(), ids.end());
-  std::sort(seeds.begin(), seeds.end());
-  return seeds;
+  out->insert(out->end(), ids.begin(), ids.end());
 }
 
 }  // namespace
+
+std::vector<uint32_t> QueryEngine::SelectSeeds(
+    const BrePartition::ReadView& view,
+    std::span<const std::vector<double>> y_subs,
+    std::span<const QueryTriple> triples, size_t k, WorkCounters* work) {
+  std::vector<uint32_t> seeds =
+      view.forest().tree(0).NearestLeafIds(y_subs[0], kSeedsPerK * k, work);
+  AppendLowestTotals(view, triples, k, &seeds);
+  std::sort(seeds.begin(), seeds.end());
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+  return seeds;
+}
 
 QueryEngine::QueryEngine(const BrePartition& index,
                          const QueryEngineOptions& options)
@@ -163,14 +172,16 @@ std::vector<Neighbor> QueryEngine::KnnOne(const BrePartition::ReadView& view,
   Timer total_timer;
   const StorageDelta storage(*index_->pager(), view.forest());
 
-  // Bound phase: Algorithm 3, Algorithm 4's totals pass, then the exact
-  // seeds, whose k-th distance is split across the subspaces as the radii
-  // (README, "Searching bound: exact seeds"). The seeds' distances prefill
-  // the refine's top-k, so the refine skips their rows.
+  // Bound phase: Algorithm 3, then the exact seeds (Algorithm 4's lowest
+  // totals and tree 0's nearest leaves), whose k-th distance is split
+  // across the subspaces as the radii (README, "Searching bound: exact
+  // seeds"). The seeds' distances prefill the refine's top-k, so the
+  // refine skips their rows.
   Timer bound_timer;
   const auto y_subs = index_->GatherQuery(y);
   const auto triples = index_->TransformQueryAll(y_subs);
-  const std::vector<uint32_t> seeds = SelectSeeds(view, triples, k);
+  const std::vector<uint32_t> seeds =
+      SelectSeeds(view, y_subs, triples, k, &q);
   Refiner refiner(view.forest(), index_->divergence(), y);
   TopK topk(k);
   const std::vector<double> radii = refiner.SeedRadii(seeds, &topk, &q);

@@ -68,12 +68,33 @@ struct QueryEngineOptions {
 /// a time.
 class QueryEngine {
  public:
-  /// Seeds per requested neighbor: a kNN query's bound phase evaluates
-  /// min(kSeedsPerK * k, live) points exactly (README, "Searching bound:
-  /// exact seeds"). Over k, 2k, 4k and 8k seeds, knn_disk's p50 fell from
-  /// k to 2k and was flat from 2k to 8k; 4k keeps most of 8k's work cut
-  /// at half its seed evaluations.
+  /// Tree-0 seeds per requested neighbor: a kNN query's bound phase takes
+  /// tree 0's nearest leaves until it holds at least kSeedsPerK * k ids
+  /// (SelectSeeds; README, "Searching bound: exact seeds"). Over 1, 2 and
+  /// 4, walking tree 0 alone or every tree, knn_disk read the fewest pages
+  /// with 4 from tree 0 alone; walking every tree shrank the union but
+  /// cost more pool misses and time than it saved.
   static constexpr size_t kSeedsPerK = 4;
+
+  /// The seeds of a kNN query of `k` neighbors (1 <= k <= live) over
+  /// `view`, ascending by id and distinct: the union of
+  ///  * S_ub: the k live points with the smallest Algorithm 4 upper-bound
+  ///    totals, ties broken by id (live points without a finite total fill
+  ///    up in id order). Each of them has D <= its total <= Algorithm 4's
+  ///    k-th total, so the seeded radius total never exceeds Algorithm
+  ///    4's.
+  ///  * S_0: the ids of tree 0's leaves nearest y_subs[0]
+  ///    (DiskBBTree::NearestLeafIds) until at least kSeedsPerK * k are
+  ///    held. The point store lays rows out in tree 0's leaf order, so
+  ///    their rows share a few data pages. The disk trees hold only live
+  ///    ids.
+  /// `y_subs` and `triples` are the query's BrePartition::GatherQuery and
+  /// TransformQueryAll. The leaf walk's nodes and leaves count in `work`.
+  /// KnnOne seeds every exact kNN query from this.
+  static std::vector<uint32_t> SelectSeeds(
+      const BrePartition::ReadView& view,
+      std::span<const std::vector<double>> y_subs,
+      std::span<const QueryTriple> triples, size_t k, WorkCounters* work);
 
   /// `index` must outlive the engine.
   explicit QueryEngine(const BrePartition& index,

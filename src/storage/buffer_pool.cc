@@ -29,8 +29,8 @@ PagePin BufferPool::ReadPinned(PageId id, const PageSource& src) {
   // misses on distinct pages overlap their reads instead of serializing on
   // the pool.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  auto page = std::make_shared<PageBuffer>();
-  src.FetchPage(id, page.get());
+  auto page = std::make_shared<PageImage>(src.page_size());
+  src.FetchPage(id, page->data());
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(id);

@@ -1,8 +1,10 @@
 #ifndef BREP_STORAGE_PAGE_H_
 #define BREP_STORAGE_PAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace brep {
@@ -14,6 +16,24 @@ inline constexpr PageId kInvalidPageId = std::numeric_limits<PageId>::max();
 
 /// Raw page contents.
 using PageBuffer = std::vector<uint8_t>;
+
+/// A page's bytes in storage that is not value-initialised: the buffer of
+/// a read that overwrites every byte (PageSource::FetchPage), where a
+/// PageBuffer would zero-fill the page just before the read replaces it.
+class PageImage {
+ public:
+  explicit PageImage(size_t size)
+      : bytes_(std::make_unique_for_overwrite<uint8_t[]>(size)), size_(size) {}
+
+  uint8_t* data() { return bytes_.get(); }
+  const uint8_t* data() const { return bytes_.get(); }
+  size_t size() const { return size_; }
+  uint8_t operator[](size_t i) const { return bytes_[i]; }
+
+ private:
+  std::unique_ptr<uint8_t[]> bytes_;
+  size_t size_;
+};
 
 /// Counters the evaluation uses as its "I/O cost" metric: number of page
 /// reads/writes issued against the simulated disk. The paper reports I/O

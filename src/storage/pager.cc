@@ -38,7 +38,7 @@ bool Pager::ParseFreePageRecord(std::span<const uint8_t> page_bytes,
   return true;
 }
 
-Pager::Pager(size_t page_size_bytes) : page_size_(page_size_bytes) {
+Pager::Pager(size_t page_size_bytes) : PageSource(page_size_bytes) {
   BREP_CHECK(page_size_ >= 64);
 }
 
@@ -139,11 +139,15 @@ void Pager::ReadNoCount(PageId id, uint8_t* out) const {
   DoRead(id, out);
 }
 
-void Pager::Read(PageId id, PageBuffer* out) const {
+void Pager::FetchPage(PageId id, uint8_t* out) const {
   BREP_CHECK(id < num_pages_);
-  out->resize(page_size_);
-  ReadNoCount(id, out->data());
+  ReadNoCount(id, out);
   reads_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Pager::Read(PageId id, PageBuffer* out) const {
+  out->resize(page_size_);
+  FetchPage(id, out->data());
 }
 
 uint64_t Pager::PageGen(PageId id) const {

@@ -43,12 +43,21 @@ class PageSource {
  public:
   virtual ~PageSource() = default;
 
-  /// Read a page into `out` (resized to the page size). Counts one read on
-  /// the underlying disk's I/O statistics.
-  virtual void FetchPage(PageId id, PageBuffer* out) const = 0;
+  /// Bytes per page.
+  size_t page_size() const { return page_size_; }
+
+  /// Read a page into `out`, which must hold page_size() bytes. Every byte
+  /// is overwritten, so `out` need not be initialised (PageImage). Counts
+  /// one read on the underlying disk's I/O statistics.
+  virtual void FetchPage(PageId id, uint8_t* out) const = 0;
 
   /// Monotonic version stamp of the page's current contents in this view.
   virtual uint64_t PageGen(PageId id) const = 0;
+
+ protected:
+  explicit PageSource(size_t page_size) : page_size_(page_size) {}
+
+  const size_t page_size_;
 };
 
 /// A page-granular disk: the storage backend behind every disk-resident
@@ -88,7 +97,6 @@ class Pager : public PageSource {
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
-  size_t page_size() const { return page_size_; }
   size_t num_pages() const { return num_pages_; }
 
   /// Allocate a zeroed page and return its id. Freed pages are reused
@@ -136,9 +144,7 @@ class Pager : public PageSource {
   void Read(PageId id, PageBuffer* out) const;
 
   // PageSource: the writer's working view of the disk.
-  void FetchPage(PageId id, PageBuffer* out) const override {
-    Read(id, out);
-  }
+  void FetchPage(PageId id, uint8_t* out) const override;
   uint64_t PageGen(PageId id) const override;
 
   /// Push every shadow page down into the backend and drop the in-memory
@@ -223,7 +229,6 @@ class Pager : public PageSource {
   /// NOT zeroed (callers overwrite every page).
   PageId AllocateRun(size_t n);
 
-  size_t page_size_;
   size_t num_pages_ = 0;
   CatalogRef catalog_;
   PageId free_head_ = kInvalidPageId;

@@ -217,13 +217,13 @@ void PointStore::Fetch(uint32_t id, std::span<double> out) const {
   BREP_CHECK_MSG(Contains(id), "Fetch of an id that is not stored");
   BREP_CHECK(out.size() == dim_);
   const PointAddress addr = address_of_[id];
-  PageBuffer buf;
-  src_->FetchPage(addr.page, &buf);
+  PageImage buf(src_->page_size());
+  src_->FetchPage(addr.page, buf.data());
   std::memcpy(out.data(), buf.data() + addr.slot * dim_ * sizeof(double),
               dim_ * sizeof(double));
 }
 
-const PageBuffer* PointStore::PageMemo::Find(PageId id) const {
+const PageImage* PointStore::PageMemo::Find(PageId id) const {
   const auto it = std::lower_bound(ids.begin(), ids.end(), id);
   if (it == ids.end() || *it != id) return nullptr;
   return &pages[static_cast<size_t>(it - ids.begin())];
@@ -245,27 +245,29 @@ void PointStore::FetchMany(
   });
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
-  PageBuffer buf;
-  const PageBuffer* page = nullptr;
+  PageImage buf(src_->page_size());
+  const uint8_t* page = nullptr;  // the loaded page's bytes
   PageId loaded = kInvalidPageId;
   for (uint32_t id : sorted) {
     BREP_CHECK_MSG(Contains(id), "FetchMany of an id that is not stored");
     const PointAddress addr = address_of_[id];
     if (addr.page != loaded) {
       loaded = addr.page;
-      page = reuse != nullptr ? reuse->Find(addr.page) : nullptr;
-      if (page == nullptr) {
-        PageBuffer* into = &buf;
+      const PageImage* kept =
+          reuse != nullptr ? reuse->Find(addr.page) : nullptr;
+      if (kept == nullptr) {
+        PageImage* into = &buf;
         if (keep != nullptr) {
           keep->ids.push_back(addr.page);
-          into = &keep->pages.emplace_back();
+          into = &keep->pages.emplace_back(src_->page_size());
         }
-        src_->FetchPage(addr.page, into);
-        page = into;
+        src_->FetchPage(addr.page, into->data());
+        kept = into;
       }
+      page = kept->data();
     }
     const auto* doubles = reinterpret_cast<const double*>(
-        page->data() + addr.slot * dim_ * sizeof(double));
+        page + addr.slot * dim_ * sizeof(double));
     cb(id, std::span<const double>(doubles, dim_));
   }
 }

@@ -125,9 +125,9 @@ class PointStore {
   /// refine). Ascending by page id.
   struct PageMemo {
     std::vector<PageId> ids;
-    std::vector<PageBuffer> pages;
+    std::vector<PageImage> pages;
     /// The kept page `id`, or nullptr.
-    const PageBuffer* Find(PageId id) const;
+    const PageImage* Find(PageId id) const;
   };
 
   /// Fetch a batch: distinct pages are read once each, in ascending page

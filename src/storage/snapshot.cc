@@ -7,8 +7,8 @@
 namespace brep {
 
 PageSnapshot::PageSnapshot(Pager& pager)
-    : base_(&pager),
-      page_size_(pager.page_size()),
+    : PageSource(pager.page_size()),
+      base_(&pager),
       num_pages_(pager.num_pages()),
       free_head_(pager.free_list_head()),
       free_count_(pager.num_free_pages()),
@@ -20,14 +20,13 @@ PageSnapshot::PageSnapshot(Pager& pager)
   pager.last_snapshot_gen_ = pager.next_gen_;
 }
 
-void PageSnapshot::FetchPage(PageId id, PageBuffer* out) const {
+void PageSnapshot::FetchPage(PageId id, uint8_t* out) const {
   BREP_CHECK(id < num_pages_);
-  out->resize(page_size_);
   const Pager::VersionedPage& entry = table_[id];
   if (entry.data != nullptr) {
-    std::memcpy(out->data(), entry.data->data(), page_size_);
+    std::memcpy(out, entry.data->data(), page_size_);
   } else {
-    base_->DoRead(id, out->data());
+    base_->DoRead(id, out);
   }
   base_->reads_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -32,10 +32,9 @@ class PageSnapshot final : public PageSource {
   PageSnapshot(const PageSnapshot&) = delete;
   PageSnapshot& operator=(const PageSnapshot&) = delete;
 
-  void FetchPage(PageId id, PageBuffer* out) const override;
+  void FetchPage(PageId id, uint8_t* out) const override;
   uint64_t PageGen(PageId id) const override;
 
-  size_t page_size() const { return page_size_; }
   size_t num_pages() const { return num_pages_; }
   PageId free_list_head() const { return free_head_; }
   uint64_t num_free_pages() const { return free_count_; }
@@ -48,7 +47,6 @@ class PageSnapshot final : public PageSource {
 
  private:
   const Pager* base_;
-  size_t page_size_;
   size_t num_pages_;
   PageId free_head_;
   uint64_t free_count_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -47,8 +48,9 @@ TEST_P(DiskBBTreeTest, KnnMatchesInMemoryTree) {
 }
 
 /// Reference range descent over BBTree::nodes(): the trees' own depth-first
-/// order, pruning with the value form of the ball bound. `exact` holds the
-/// ids within `radius`; `stats` counts the descent's work.
+/// order, left subtree first, pruning with the value form of the ball
+/// bound. `exact` holds the ids within `radius`; `stats` counts the
+/// descent's work.
 struct ReferenceRange {
   std::vector<uint32_t> exact;
   WorkCounters stats;
@@ -77,8 +79,8 @@ ReferenceRange ReferenceRangeDescent(const BBTree& tree,
         }
       }
     } else {
-      stack.push_back(node.left);
       stack.push_back(node.right);
+      stack.push_back(node.left);
     }
   }
   return ref;
@@ -289,6 +291,175 @@ TEST(DiskBBTreeIoTest, HeaderOnlyChildBoundsStrictlyReduceIo) {
       EXPECT_EQ(got[i].id, want[i].id);
       EXPECT_EQ(got[i].distance, want[i].distance);
     }
+  }
+}
+
+/// A MemPager that counts backend reads per page: once the pages are
+/// flushed out of the shadow table, every buffer-pool miss lands here.
+class PageReadSpy final : public MemPager {
+ public:
+  using MemPager::MemPager;
+  mutable std::map<PageId, int> reads;
+
+ protected:
+  void DoRead(PageId id, uint8_t* out) const override {
+    ++reads[id];
+    MemPager::DoRead(id, out);
+  }
+};
+
+TEST(DiskBBTreeIoTest, RangeDescentMissesEachPageAtMostOnce) {
+  // The bulk build lays nodes out in preorder, left child first, and the
+  // range descent visits them in that order, so it leaves each page for
+  // good: even a 2-page pool misses every page at most once per query.
+  constexpr size_t kDim = 8;
+  const Matrix data = testing::MakeDataFor("itakura_saito", 800, kDim);
+  const BregmanDivergence div = MakeDivergence("itakura_saito", kDim);
+  BBTreeConfig config;
+  config.max_leaf_size = 16;
+  const BBTree mem_tree(data, div, config);
+  const TransformedDataset tuples = TransformedDataset::WholeSpace(data, div);
+  PageReadSpy pager(2048);
+  const DiskBBTree disk_tree(&pager, mem_tree, /*pool_pages=*/2);
+  ASSERT_GE(disk_tree.LivePages().size(), 6u);
+  pager.FlushToBase();
+
+  const LinearScan scan(data, div);
+  const Matrix queries = testing::MakeQueriesFor("itakura_saito", data, 8);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const auto y = queries.Row(q);
+    const std::vector<double> dists = scan.AllDistances(y);
+    for (double radius : {Quantile(dists, 0.02), Quantile(dists, 0.3),
+                          std::numeric_limits<double>::max()}) {
+      SCOPED_TRACE("query " + std::to_string(q) + " radius " +
+                   std::to_string(radius));
+      pager.reads.clear();
+      const uint64_t misses_before = disk_tree.pool().misses();
+      disk_tree.RangeSearchExact(y, radius, tuples, 0);
+      for (const auto& [page, reads] : pager.reads) {
+        EXPECT_LE(reads, 1) << "page " << page;
+      }
+      EXPECT_EQ(pager.reads.size(), disk_tree.pool().misses() - misses_before);
+    }
+  }
+}
+
+TEST(DiskBBTreeIoTest, LeafPayloadsAcrossSmallPagesAreReadOnce) {
+  // 512-byte pages: a full leaf's payload, 16 * (4 + 8 * 8) = 1,088 bytes,
+  // straddles three or more pages. Both searches must match the in-memory
+  // tree, and each node read must pin every page of its byte range once:
+  // one pin per page for the header, one per page for the ids and vectors.
+  constexpr size_t kDim = 8;
+  const Matrix data = testing::MakeDataFor("itakura_saito", 400, kDim);
+  const BregmanDivergence div = MakeDivergence("itakura_saito", kDim);
+  BBTreeConfig config;
+  config.max_leaf_size = 16;
+  const BBTree mem_tree(data, div, config);
+  const TransformedDataset tuples = TransformedDataset::WholeSpace(data, div);
+  MemPager pager(512);
+  const PointStore store(&pager, data, mem_tree.LeafOrder());
+  const DiskBBTree disk_tree(&pager, mem_tree, /*pool_pages=*/4);
+
+  // The pins of a descent that reads every node in full, from the bulk
+  // build's preorder layout (header, then ids and vectors, or child
+  // offsets).
+  const size_t page = pager.page_size();
+  const auto pages_spanned = [&](uint64_t start, uint64_t len) {
+    return (start + len - 1) / page - start / page + 1;
+  };
+  const uint64_t fixed = 1 + 4 + 3 * sizeof(double) + kDim * sizeof(double);
+  uint64_t all_pins = 0, widest_tail = 0, cursor = 0;
+  std::vector<int32_t> stack{mem_tree.root()};
+  while (!stack.empty()) {
+    const BBTree::Node& node = mem_tree.nodes()[stack.back()];
+    stack.pop_back();
+    const uint64_t tail =
+        node.is_leaf() ? node.ids.size() * (4 + kDim * sizeof(double)) : 16;
+    const uint64_t tail_pages = pages_spanned(cursor + fixed, tail);
+    all_pins += pages_spanned(cursor, fixed) + tail_pages;
+    if (node.is_leaf()) widest_tail = std::max(widest_tail, tail_pages);
+    cursor += fixed + tail;
+    if (!node.is_leaf()) {
+      stack.push_back(node.right);
+      stack.push_back(node.left);
+    }
+  }
+  ASSERT_GE(widest_tail, 3u);
+
+  const auto pins = [&] {
+    return disk_tree.pool().hits() + disk_tree.pool().misses();
+  };
+  const LinearScan scan(data, div);
+  const Matrix queries = testing::MakeQueriesFor("itakura_saito", data, 6);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    const auto y = queries.Row(q);
+    const std::vector<double> dists = scan.AllDistances(y);
+    for (double radius : {Quantile(dists, 0.05), Quantile(dists, 0.5)}) {
+      EXPECT_EQ(disk_tree.RangeSearchExact(y, radius, tuples, 0),
+                mem_tree.RangeSearch(y, radius));
+    }
+    const uint64_t before = pins();
+    WorkCounters st;
+    const auto everything = disk_tree.RangeSearchExact(
+        y, std::numeric_limits<double>::max(), tuples, 0, &st);
+    EXPECT_EQ(st.nodes_visited, mem_tree.nodes().size());
+    EXPECT_EQ(pins() - before, all_pins);
+    EXPECT_EQ(everything, mem_tree.RangeSearch(
+                              y, std::numeric_limits<double>::max()));
+
+    const auto want = mem_tree.KnnSearch(y, 10);
+    const auto got = disk_tree.KnnSearch(y, 10, store);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(got[i].distance, want[i].distance);
+    }
+  }
+}
+
+TEST(DiskBBTreeIoTest, NearestLeafIdsTakesWholeLeavesUntilTheCount) {
+  constexpr size_t kDim = 8;
+  const Matrix data = testing::MakeDataFor("itakura_saito", 400, kDim);
+  const BregmanDivergence div = MakeDivergence("itakura_saito", kDim);
+  BBTreeConfig config;
+  config.max_leaf_size = 16;
+  const BBTree mem_tree(data, div, config);
+  MemPager pager(512);
+  const DiskBBTree disk_tree(&pager, mem_tree);
+  const Matrix queries = testing::MakeQueriesFor("itakura_saito", data, 6);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    WorkCounters st;
+    std::vector<uint32_t> ids =
+        disk_tree.NearestLeafIds(queries.Row(q), 40, &st);
+    EXPECT_GE(ids.size(), 40u);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+    // Whole leaves, and no more of them than the count needs: without the
+    // last leaf taken, and so without the largest, fewer than 40 ids.
+    size_t leaves = 0, largest = 0;
+    for (const BBTree::Node& node : mem_tree.nodes()) {
+      if (!node.is_leaf()) continue;
+      const size_t held = std::count_if(
+          node.ids.begin(), node.ids.end(), [&](uint32_t id) {
+            return std::binary_search(ids.begin(), ids.end(), id);
+          });
+      EXPECT_TRUE(held == 0 || held == node.ids.size());
+      if (held > 0) {
+        ++leaves;
+        largest = std::max(largest, held);
+      }
+    }
+    EXPECT_EQ(st.leaves_visited, leaves);
+    EXPECT_LT(ids.size() - largest, 40u);
+    EXPECT_GE(st.nodes_visited, st.leaves_visited);
+
+    // A count past the tree's points takes every leaf.
+    ids = disk_tree.NearestLeafIds(queries.Row(q), data.rows() + 1);
+    std::sort(ids.begin(), ids.end());
+    ASSERT_EQ(ids.size(), data.rows());
+    for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
   }
 }
 

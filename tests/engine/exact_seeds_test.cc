@@ -1,9 +1,10 @@
 /// The seeded searching bound (README, "Searching bound: exact seeds"):
-/// a kNN query's radii come from the k-th of QueryEngine::kSeedsPerK * k
-/// exactly evaluated seeds. These tests pin its edge cases -- a k-th seed
-/// distance of 0, ties across the seed boundary, fewer live points than
-/// seeds, deleted and unbounded rows -- against the linear-scan oracle, bit
-/// for bit.
+/// a kNN query's radii come from the k-th of its exactly evaluated seeds,
+/// the k points with the lowest Algorithm 4 totals plus tree 0's nearest
+/// leaves (QueryEngine::SelectSeeds). These tests pin its edge cases -- a
+/// k-th seed distance of 0, ties across the seed boundary, fewer live
+/// points than seeds, deleted and unbounded rows, a tree 0 that sees only
+/// noise -- against the linear-scan oracle, bit for bit.
 
 #include <algorithm>
 #include <bit>
@@ -72,11 +73,22 @@ Matrix WithCopies(const Matrix& data, size_t rows, size_t dup, size_t copies) {
   return out;
 }
 
-/// The ids the bound phase seeds for (y, k): the kSeedsPerK * k live
-/// points with the smallest (upper-bound total, id), recomputed here from
-/// the tuple table (every row is live in the indexes this is used on).
+/// The ids the bound phase seeds for (y, k): the engine's own selection.
 std::vector<uint32_t> SeedsOf(const BrePartition& bp, std::span<const double> y,
                               size_t k) {
+  const BrePartition::ReadView view = bp.OpenReadView();
+  const auto y_subs = bp.GatherQuery(y);
+  WorkCounters work;
+  return QueryEngine::SelectSeeds(view, y_subs, bp.TransformQueryAll(y_subs),
+                                  k, &work);
+}
+
+/// The k points with the smallest (upper-bound total, id), ascending by
+/// id, recomputed here from the tuple table (every row is live in the
+/// indexes this is used on): the seeds that keep the seeded radius total
+/// at or below Algorithm 4's.
+std::vector<uint32_t> LowestTotals(const BrePartition& bp,
+                                   std::span<const double> y, size_t k) {
   const BrePartition::ReadView view = bp.OpenReadView();
   QBScratch scratch;
   UBTotals(view.transformed(), bp.TransformQueryAll(bp.GatherQuery(y)),
@@ -88,7 +100,7 @@ std::vector<uint32_t> SeedsOf(const BrePartition& bp, std::span<const double> y,
     const double tb = scratch.totals[b];
     return ta != tb ? ta < tb : a < b;
   });
-  ids.resize(std::min(ids.size(), kSeedsPerK * k));
+  ids.resize(std::min(ids.size(), k));
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -145,8 +157,61 @@ TEST_P(ExactSeedsTest, RadiusTotalNeverExceedsAlgorithm4s) {
           << generator << " k=" << k << " q=" << q;
       EXPECT_GT(stats.radius_total, 0.0);
       // Every seed is evaluated exactly and counted as a candidate.
-      EXPECT_GE(stats.exact_evals, std::min(kSeedsPerK * k, data.rows()));
-      EXPECT_GE(stats.candidates, std::min(kSeedsPerK * k, data.rows()));
+      const size_t seeds = SeedsOf(index.impl(), queries.Row(q), k).size();
+      EXPECT_GE(seeds, k);
+      EXPECT_GE(stats.exact_evals, seeds);
+      EXPECT_GE(stats.candidates, seeds);
+    }
+  }
+}
+
+TEST_P(ExactSeedsTest, NoiseInTreeZerosColumnsKeepsTheAlgorithm4Bound) {
+  // Tree 0 indexes the first d/M columns, which here are noise that neither
+  // the data's clusters nor the queries share: its nearest leaves are
+  // poor seeds. The lowest-total seeds still hold the radius total to
+  // Algorithm 4's, and the answers stay exact.
+  const std::string generator = GetParam();
+  constexpr size_t kDim = 16;
+  constexpr size_t kParts = 4;
+  const bool positive = generator == "itakura_saito";
+  Matrix data = testing::MakeDataFor(generator, 900, kDim);
+  Matrix queries = testing::MakeQueriesFor(generator, data, 12);
+  Rng rng(41);
+  for (Matrix* m : {&data, &queries}) {
+    for (size_t i = 0; i < m->rows(); ++i) {
+      auto row = m->MutableRow(i);
+      for (size_t j = 0; j < kDim / kParts; ++j) {
+        row[j] = positive ? rng.Uniform(0.05, 6.0) : rng.Uniform(-4.0, 4.0);
+      }
+    }
+  }
+  auto built = IndexBuilder(generator)
+                   .Partitions(kParts)
+                   .Strategy(PartitionStrategy::kEqualContiguous)
+                   .MaxLeafSize(16)
+                   .PageSize(2048)
+                   .Seed(5)
+                   .Build(data);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const LinearScanOracle oracle = OracleOver(data, generator);
+  for (size_t k : {1ul, 10ul, 50ul}) {
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      const std::string what =
+          generator + " k=" + std::to_string(k) + " q=" + std::to_string(q);
+      const auto y = queries.Row(q);
+      SearchIndex::Stats stats;
+      const auto got = built->Knn(y, k, &stats);
+      ASSERT_TRUE(got.ok()) << what;
+      ExpectIdentical(*got, oracle.Knn(y, k), what);
+      EXPECT_LE(stats.radius_total,
+                testing::Algorithm4Total(built->impl(), y, k) *
+                    (1.0 + 0x1p-40))
+          << what;
+      const std::vector<uint32_t> seeds = SeedsOf(built->impl(), y, k);
+      const std::vector<uint32_t> lowest = LowestTotals(built->impl(), y, k);
+      EXPECT_TRUE(std::includes(seeds.begin(), seeds.end(), lowest.begin(),
+                                lowest.end()))
+          << what;
     }
   }
 }
@@ -194,24 +259,32 @@ TEST(ExactSeedsEdgeTest, KlNeverReachesTheSeededBound) {
 
 /// Squared L2's upper bound, sum_m (||x_m|| + ||y_m||)^2, ignores direction:
 /// `decoys` points near the origin outrank (by upper bound) 30 copies of a
-/// row next to the query, although the copies are far nearer. Of the
-/// kSeedsPerK * k seeds, the decoys take `decoys` and the copies the rest,
-/// so the copies' tie at the k-th distance straddles the seed boundary.
+/// row next to the query, although the copies are far nearer, so the k
+/// lowest-total seeds are the decoys and then the copies with the lowest
+/// ids. Tree 0's nearest leaf is taken by points that match the query in
+/// tree 0's columns but are far off in tree 1's, more of them than the
+/// tree-0 seed count. So the seeds hold k - decoys copies and miss the
+/// rest, and the copies' tie at the k-th distance straddles the seed
+/// boundary.
 void CheckTieAcrossTheSeedBoundary(size_t decoys) {
   constexpr size_t kK = 5;
   constexpr size_t kDim = 8;
   constexpr size_t kCopies = 30;
   constexpr size_t kFar = 300;
-  ASSERT_LT(decoys, kSeedsPerK * kK);
+  constexpr size_t kTreeZeroDecoys = kSeedsPerK * kK + 4;
+  ASSERT_LT(decoys, kK);
   Rng rng(17);
-  Matrix data(kFar + decoys + kCopies, kDim);
+  Matrix data(kFar + decoys + kCopies + kTreeZeroDecoys, kDim);
   std::vector<double> row(kDim);
   for (double& v : row) v = rng.Uniform(1.8, 2.2);
-  // Interleave the three groups so the copies' ids are spread out.
+  std::vector<double> y(row);
+  y[0] += 0.05;
+  // Interleave the four groups so the copies' ids are spread out.
   std::vector<size_t> group;
   group.insert(group.end(), kFar, 0);
   group.insert(group.end(), decoys, 1);
   group.insert(group.end(), kCopies, 2);
+  group.insert(group.end(), kTreeZeroDecoys, 3);
   rng.Shuffle(&group);
   std::vector<uint32_t> copy_ids;
   for (size_t i = 0; i < group.size(); ++i) {
@@ -220,15 +293,22 @@ void CheckTieAcrossTheSeedBoundary(size_t decoys) {
       switch (group[i]) {
         case 0: out[j] = rng.Uniform(4.0, 6.0); break;
         case 1: out[j] = rng.Uniform(-0.01, 0.01); break;
-        default: out[j] = row[j];
+        case 2: out[j] = row[j]; break;
+        default: out[j] = j < kDim / 2 ? y[j] : 5.0;
       }
     }
     if (group[i] == 2) copy_ids.push_back(static_cast<uint32_t>(i));
   }
-  std::vector<double> y(row);
-  y[0] += 0.05;
   const LinearScanOracle oracle = OracleOver(data, "squared_l2");
-  const Index index = BuildIndex(data, "squared_l2", 2);
+  auto built = IndexBuilder("squared_l2")
+                   .Partitions(2)
+                   .Strategy(PartitionStrategy::kEqualContiguous)
+                   .MaxLeafSize(16)
+                   .PageSize(2048)
+                   .Seed(5)
+                   .Build(data);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Index& index = *built;
 
   // The precondition: seeds hold some copies and miss others.
   const std::vector<uint32_t> seeds = SeedsOf(index.impl(), y, kK);
@@ -236,7 +316,7 @@ void CheckTieAcrossTheSeedBoundary(size_t decoys) {
   for (uint32_t id : copy_ids) {
     seeded_copies += std::binary_search(seeds.begin(), seeds.end(), id);
   }
-  ASSERT_EQ(seeded_copies, kSeedsPerK * kK - decoys);
+  ASSERT_EQ(seeded_copies, kK - decoys);
 
   const auto want = oracle.Knn(y, kK);
   for (const Neighbor& n : want) EXPECT_EQ(n.distance, want[0].distance);
@@ -254,10 +334,10 @@ void CheckTieAcrossTheSeedBoundary(size_t decoys) {
 TEST(ExactSeedsEdgeTest, TieAtTheKthPlaceStraddlesTheSeedBoundary) {
   // Two copies are seeds: p* is a decoy and the answer needs three
   // copies the seeds missed.
-  CheckTieAcrossTheSeedBoundary(kSeedsPerK * 5 - 2);
+  CheckTieAcrossTheSeedBoundary(3);
   // Five copies are seeds: p* is a copy, and 25 unseeded copies sit at
   // exactly its distance.
-  CheckTieAcrossTheSeedBoundary(kSeedsPerK * 5 - 5);
+  CheckTieAcrossTheSeedBoundary(0);
 }
 
 TEST_P(ExactSeedsTest, DistancesEqualUpToRoundingStayOracleIdentical) {
@@ -318,9 +398,11 @@ TEST(ExactSeedsEdgeTest, MarginKeepsARowThatRoundsAboveInEverySubspace) {
   // Row x is big-first in both subspaces, row p small-first, so x is
   // larger than p in every subspace -- by more than the one-ulp round-up
   // of the radii -- yet smaller over the whole space, where x's second
-  // block of small terms is absorbed. p's four copies outrank x by upper
-  // bound (here the subspace sums themselves), so they are the k = 1
-  // seeds and p* = p; only the margin keeps x, the true nearest.
+  // block of small terms is absorbed. p outranks x by upper bound (here
+  // the subspace sums themselves), so p is the k = 1 lowest-total seed;
+  // with leaves of at most four points, p's four copies split off x into
+  // tree 0's nearest leaf, so they are all the seeds and p* = p. Only the
+  // margin keeps x, the true nearest.
   constexpr size_t kBlock = 9;
   constexpr size_t kDim = 2 * kBlock;
   const double big = 1.0;
@@ -362,7 +444,7 @@ TEST(ExactSeedsEdgeTest, MarginKeepsARowThatRoundsAboveInEverySubspace) {
   auto built = IndexBuilder("squared_l2")
                    .Partitions(2)
                    .Strategy(PartitionStrategy::kEqualContiguous)
-                   .MaxLeafSize(8)
+                   .MaxLeafSize(4)
                    .PageSize(2048)
                    .Build(data);
   ASSERT_TRUE(built.ok()) << built.status().ToString();

@@ -128,6 +128,49 @@ TEST_F(BufferPoolTest, ConcurrentPinnedReadsAreConsistent) {
   EXPECT_LE(pool.size(), 2u);
 }
 
+TEST_F(BufferPoolTest, ConcurrentMissesFillEveryByteOfTheirPages) {
+  // A miss reads into a page image that is not zero-filled first, so every
+  // byte a pin shows must come from the read. Ten full pages, each with its
+  // own byte pattern, cycle through a 2-page pool from four threads: almost
+  // every read misses, evicting pages other threads still hold pinned.
+  constexpr size_t kPage = 4096;
+  constexpr PageId kPages = 10;
+  const auto pattern = [](PageId id, size_t j) {
+    return static_cast<uint8_t>(id * 37 + j * 11 + (j >> 8));
+  };
+  MemPager pager(kPage);
+  std::vector<uint8_t> bytes(kPage);
+  for (PageId i = 0; i < kPages; ++i) {
+    const PageId id = pager.Allocate();
+    for (size_t j = 0; j < kPage; ++j) bytes[j] = pattern(id, j);
+    pager.Write(id, bytes);
+  }
+  pager.FlushToBase();  // misses read the backend
+
+  BufferPool pool(&pager, 2);
+  constexpr int kThreads = 4;
+  constexpr int kItersPerThread = 500;
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kItersPerThread && ok.load(); ++i) {
+        const PageId id = static_cast<PageId>((i + 3 * t) % kPages);
+        const PagePin pin = pool.ReadPinned(id);
+        if (pin->size() != kPage) ok.store(false);
+        for (size_t j = 0; j < kPage; ++j) {
+          if ((*pin)[j] != pattern(id, j)) ok.store(false);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(ok.load());
+  EXPECT_EQ(pool.hits() + pool.misses(), uint64_t(kThreads) * kItersPerThread);
+  EXPECT_GT(pool.misses(), uint64_t(kItersPerThread));
+  EXPECT_LE(pool.size(), 2u);
+}
+
 TEST_F(BufferPoolTest, SequentialScanLargerThanPoolAlwaysMisses) {
   BufferPool pool(&pager_, 2);
   for (int round = 0; round < 3; ++round) {
