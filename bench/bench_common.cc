@@ -170,7 +170,7 @@ std::string JsonPathArg(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       BREP_CHECK_MSG(i + 1 < argc,
-                     "--json expects a path, e.g. --json BENCH_join.json");
+                     "--json expects a path, e.g. --json BENCH_kernels.json");
       return argv[i + 1];
     }
   }

@@ -13,7 +13,7 @@
 #include "core/stats.h"
 #include "divergence/factory.h"
 #include "engine/query_engine.h"
-#include "join/dual_tree.h"
+#include "join/scan_join.h"
 #include "obs/index_metrics.h"
 #include "storage/file_pager.h"
 #include "storage/pager.h"
@@ -66,30 +66,31 @@ void RecordUpdate(const BrePartition& bp, char op, double total_ms,
 }
 
 /// The join's work in the shared vocabulary (the mapping documented on
-/// WorkCounters): node pairs, leaf blocks and pair distances.
+/// WorkCounters): S blocks streamed and pair distances.
 WorkCounters JoinWork(const JoinStats& js) {
   WorkCounters w;
-  w.nodes_visited = js.node_pairs_visited;
   w.leaves_visited = js.leaf_blocks;
   w.points_evaluated = js.pairs_evaluated;
   w.candidates = js.pairs_evaluated;
   return w;
 }
 
-/// Leaf capacity of the join's transient trees: 64-point leaves hand the
-/// batched SIMD leaf scans whole blocks.
-constexpr size_t kJoinLeafSize = 64;
-
 /// The shared join body of Index and ParallelIndex: pin a read snapshot,
 /// materialize the live point set S from its point store (ascending id
 /// order, so the (distance, id) tie-break matches single queries), run the
-/// dual-tree descent and fold its counters into the facade stats.
+/// blocked scan and fold its counters into the facade stats.
 StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
                                         const Matrix& r, size_t k,
                                         ThreadPool* pool,
                                         SearchIndex::Stats* stats) {
   const auto view = bp.OpenReadViewHandle();
   const PointStore& store = view->forest().point_store();
+  const size_t d = bp.divergence().dim();
+  // S is allocated before the id list so that each join can reuse the heap
+  // block the previous join's S freed; allocated after it, S stops fitting
+  // there once retained results take part of the block, and the heap grows
+  // by a whole S.
+  std::vector<double> s_data(view->num_points() * d);
   std::vector<uint32_t> live;
   live.reserve(view->num_points());
   for (uint32_t id = 0; id < store.id_space(); ++id) {
@@ -103,8 +104,7 @@ StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
         " exceeds the number of indexed points (" +
         std::to_string(live.size()) + ")");
   }
-  const size_t d = bp.divergence().dim();
-  std::vector<double> s_data(live.size() * d);
+  s_data.resize(live.size() * d);
   store.FetchMany(live, [&](uint32_t id, std::span<const double> x) {
     const size_t row =
         std::lower_bound(live.begin(), live.end(), id) - live.begin();
@@ -112,26 +112,20 @@ StatusOr<JoinResult> JoinOnBrePartition(const BrePartition& bp,
   });
   const Matrix s(live.size(), d, std::move(s_data));
 
-  JoinResult result = DualTreeKnnJoin(r, s, live, bp.divergence(), k,
-                                      kJoinLeafSize, pool);
+  JoinResult result = ScanKnnJoin(r, s, live, bp.divergence(), k, pool);
   *stats += JoinWork(result.stats);
   return result;
 }
 
 /// Record one finished join into the shared registry and, when slow
-/// enough, the trace ring (op 'j'; build lands in the bound span, the
-/// descent in refine).
+/// enough, the trace ring (op 'j'; the scan lands in the refine span, the
+/// materialization of S only in the total).
 void RecordJoin(const BrePartition& bp, size_t rows, size_t k,
                 const JoinResult& result, double total_ms) {
   const obs::IndexMetrics& im = bp.index_metrics();
   const size_t stripe = obs::CurrentThreadStripe();
   im.joins->AddStripe(stripe, 1);
   im.join_rows->AddStripe(stripe, rows);
-  im.join_node_pairs_visited->AddStripe(stripe,
-                                        result.stats.node_pairs_visited);
-  im.join_node_pairs_pruned->AddStripe(stripe,
-                                       result.stats.node_pairs_pruned);
-  im.join_leaf_blocks->AddStripe(stripe, result.stats.leaf_blocks);
   im.join_latency->RecordStripe(stripe, total_ms);
   obs::TraceLog& trace = bp.trace_log();
   if (total_ms < trace.threshold_ms()) return;
@@ -140,10 +134,8 @@ void RecordJoin(const BrePartition& bp, size_t rows, size_t k,
   entry.op = 'j';
   entry.k = k;
   entry.results = rows;
-  entry.bound_ms = result.stats.build_ms;
   entry.refine_ms = result.stats.descent_ms;
   entry.total_ms = total_ms;
-  entry.node_pairs_pruned = result.stats.node_pairs_pruned;
   trace.Record(entry);
 }
 

@@ -182,9 +182,9 @@ class Index final : public SearchIndex {
   StatusOr<std::vector<uint32_t>> RangeImpl(std::span<const double> y,
                                             double radius,
                                             Stats* stats) const override;
-  /// Native dual-tree join over a pinned read snapshot (see
-  /// join/dual_tree.h). Sequential descent; Parallel() handles run the
-  /// same descent over their pool.
+  /// Native join over a pinned read snapshot: the blocked scan of
+  /// join/scan_join.h, its row ranges run in sequence; Parallel() handles
+  /// run the same ranges over their pool.
   StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
                                    Stats* stats) const override;
   /// Dynamic updates: route through BrePartition under its exclusive
@@ -304,9 +304,9 @@ class ParallelIndex final : public SearchIndex {
       const Matrix& queries, size_t k, Stats* stats) const override;
   StatusOr<std::vector<std::vector<uint32_t>>> RangeBatchImpl(
       const Matrix& queries, double radius, Stats* stats) const override;
-  /// The same dual-tree join as Index, with the R-subtree tasks spread
-  /// over the engine's worker pool (byte-identical results at any thread
-  /// count by construction).
+  /// The same blocked scan as Index, with its row ranges spread over the
+  /// engine's worker pool (byte-identical results at any thread count by
+  /// construction).
   StatusOr<JoinResult> KnnJoinImpl(const Matrix& r, size_t k,
                                    Stats* stats) const override;
 

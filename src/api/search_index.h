@@ -124,9 +124,11 @@ class SearchIndex {
 
   /// kNN-join: the k nearest indexed points of every row of `r` in one
   /// call -- neighbors[i] is Knn(r.Row(i), k), byte-identical to issuing
-  /// the N single queries, but served by a dual-tree descent where the
-  /// backend supports one (brep::Index, ParallelIndex, ShardedIndex;
-  /// others fall back to the per-row loop). Errors: empty `r`, wrong
+  /// the N single queries, but served by one blocked scan of R against the
+  /// live points where the backend supports it (brep::Index,
+  /// ParallelIndex, ShardedIndex; others fall back to the per-row loop).
+  /// The scan evaluates every pair, so on data where the filter prunes
+  /// well KnnBatch answers the same rows faster. Errors: empty `r`, wrong
   /// dimensionality, k == 0, k > num_points(), or any R row the divergence
   /// cannot evaluate finitely -- the same kInvalidArgument contract on
   /// every backend.

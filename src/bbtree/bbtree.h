@@ -31,10 +31,9 @@ struct BBTreeConfig {
 /// Built by hierarchical Bregman 2-means; every node carries the Bregman
 /// ball of its points. Immutable once built: it is the construction
 /// template that DiskBBTree serializes to the simulated disk (index
-/// updates then run on the disk trees) and the transient tree pair of the
-/// kNN-join. Its exact branch-and-bound kNN (Cayton '08) and exact range
-/// search (Cayton NIPS '09) serve the join's single-query baseline and
-/// are the in-memory reference the disk trees are tested against.
+/// updates then run on the disk trees). Its exact branch-and-bound kNN
+/// (Cayton '08) and exact range search (Cayton NIPS '09) are the in-memory
+/// reference the disk trees are tested against.
 ///
 /// The referenced `data` matrix must outlive the tree (the tree stores row
 /// ids, not copies).

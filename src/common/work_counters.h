@@ -17,9 +17,9 @@ namespace brep {
 ///    points are reported as `candidates` (they are refined exactly), with
 ///    `nodes_visited`, `io_reads`, `exact_evals` and `ball_steps`; the
 ///    other fields stay 0.
-///  * kNN-join: dual-tree node pairs visited -> `nodes_visited`, leaf blocks
-///    scanned -> `leaves_visited`, pair distances evaluated ->
-///    `points_evaluated` and `candidates`.
+///  * kNN-join: S blocks streamed -> `leaves_visited`, pair distances
+///    evaluated (|R| times the live points) -> `points_evaluated` and
+///    `candidates`; the other fields stay 0.
 struct WorkCounters {
   /// Pager page reads issued (index + data). This and the pool counters are
   /// deltas over counters every reader of the index shares, so they are
@@ -69,8 +69,8 @@ struct WorkCounters {
 using SearchStats = WorkCounters;
 
 /// Where one call's wall-clock time went, in milliseconds. A join puts its
-/// tree build in `bound_ms` and its descent in `refine_ms`; a batch puts its
-/// wall clock in `total_ms`.
+/// scan in `refine_ms` (materializing S shows only in `total_ms`); a batch
+/// puts its wall clock in `total_ms`.
 struct Spans {
   double bound_ms = 0.0;   // query transform, bound totals, exact seeds
   double filter_ms = 0.0;  // range queries over the BB-forest

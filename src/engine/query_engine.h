@@ -107,8 +107,8 @@ class QueryEngine {
   size_t num_threads() const { return pool_.num_lanes(); }
   const BrePartition& index() const { return *index_; }
   /// The engine's worker pool, for callers that schedule their own
-  /// independent tasks over it (the kNN-join's R-subtree descents). Same
-  /// caveat as the engine itself: one call at a time.
+  /// independent tasks over it (the kNN-join's row ranges). Same caveat as
+  /// the engine itself: one call at a time.
   ThreadPool& thread_pool() const { return pool_; }
 
   /// Exact kNN of `y` (minimizing D(x, y)), recorded into the index's

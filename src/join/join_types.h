@@ -8,30 +8,28 @@
 
 /// \file
 /// The kNN-join vocabulary shared by the facade (SearchIndex::KnnJoin) and
-/// the dual-tree core (join/dual_tree.h): work counters and the result
+/// the scan core (join/scan_join.h): work counters and the result
 /// container. Kept free of api/ dependencies so src/join can be used
 /// standalone over raw matrices.
 
 namespace brep {
 
-/// Work counters for one join call. The dual-tree counters are the
-/// acceptance instrument: node_pairs_visited under the dual-tree descent
-/// versus the same dataset's N-single-queries node visits is the measured
-/// amortization win.
+/// Work counters for one join call, as the blocked scan fills them. The
+/// scan builds no trees and prunes nothing; the node-pair fields and
+/// build_ms stay 0 and are kept only for perfbench/join.cc, which still
+/// reports them.
 struct JoinStats {
-  /// (R-node, S-node) pairs the dual-tree descent expanded (every pair a
-  /// bound was computed for).
+  /// Always 0 (the scan visits no tree nodes).
   uint64_t node_pairs_visited = 0;
-  /// Pairs cut by the pair lower bound exceeding every R-point's current
-  /// k-th distance in the R subtree.
+  /// Always 0 (the scan prunes nothing).
   uint64_t node_pairs_pruned = 0;
-  /// Leaf-vs-leaf blocks routed through the batched DivergenceScan kernel.
+  /// S blocks streamed past a row range, summed over the ranges.
   uint64_t leaf_blocks = 0;
-  /// Exact (r, s) divergence evaluations inside leaf blocks.
+  /// Exact (r, s) divergence evaluations: |R| times the live points.
   uint64_t pairs_evaluated = 0;
   /// Span breakdown, milliseconds.
-  double build_ms = 0.0;    // transient tree construction
-  double descent_ms = 0.0;  // dual-tree descent + leaf scans
+  double build_ms = 0.0;    // always 0 (no trees are built)
+  double descent_ms = 0.0;  // the scan
 };
 
 /// One kNN-join answer: neighbors[i] is the sorted (distance, id) top-k of

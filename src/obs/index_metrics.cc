@@ -26,10 +26,6 @@ IndexMetrics RegisterIndexMetrics(MetricRegistry& registry) {
       &registry.GetHistogram(kSnapshotPublishLatencyMs);
   im.joins = &registry.GetCounter(kJoinsTotal);
   im.join_rows = &registry.GetCounter(kJoinRowsTotal);
-  im.join_node_pairs_visited =
-      &registry.GetCounter(kJoinNodePairsVisitedTotal);
-  im.join_node_pairs_pruned = &registry.GetCounter(kJoinNodePairsPrunedTotal);
-  im.join_leaf_blocks = &registry.GetCounter(kJoinLeafBlocksTotal);
   im.join_latency = &registry.GetHistogram(kJoinLatencyMs);
   return im;
 }

@@ -41,16 +41,11 @@ inline constexpr char kSnapshotPublishesTotal[] =
     "brep_snapshot_publishes_total";
 inline constexpr char kSnapshotPublishLatencyMs[] =
     "brep_snapshot_publish_latency_ms";
-// kNN-join lane (SearchIndex::KnnJoin over a dual-tree backend). The
-// node-pair counters are the amortization instrument: visited under the
-// dual-tree descent versus the N-single-queries node visits.
+// kNN-join lane (SearchIndex::KnnJoin over brep::Index, ParallelIndex or
+// a shard): calls, R rows and latency. The scan's pair work is |R| times
+// the live points, so it needs no counter of its own.
 inline constexpr char kJoinsTotal[] = "brep_joins_total";
 inline constexpr char kJoinRowsTotal[] = "brep_join_rows_total";
-inline constexpr char kJoinNodePairsVisitedTotal[] =
-    "brep_join_node_pairs_visited_total";
-inline constexpr char kJoinNodePairsPrunedTotal[] =
-    "brep_join_node_pairs_pruned_total";
-inline constexpr char kJoinLeafBlocksTotal[] = "brep_join_leaf_blocks_total";
 inline constexpr char kJoinLatencyMs[] = "brep_join_latency_ms";
 
 // Assembled at snapshot time from component-owned state (index gauges,
@@ -139,9 +134,6 @@ struct IndexMetrics {
   LatencyHistogram* snapshot_publish_latency = nullptr;
   Counter* joins = nullptr;
   Counter* join_rows = nullptr;
-  Counter* join_node_pairs_visited = nullptr;
-  Counter* join_node_pairs_pruned = nullptr;
-  Counter* join_leaf_blocks = nullptr;
   LatencyHistogram* join_latency = nullptr;
 };
 

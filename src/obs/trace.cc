@@ -64,10 +64,9 @@ std::string FormatQueryTrace(const QueryTraceEntry& e) {
   } else if (e.op == 'j') {
     std::snprintf(buf, sizeof(buf),
                   "trace #%llu: knn-join(k=%zu) over %zu rows in %.3f ms "
-                  "(node pairs: %llu visited, %llu pruned)\n",
+                  "(%llu pair distances)\n",
                   (unsigned long long)e.seq, e.k, e.results, e.total_ms,
-                  (unsigned long long)e.nodes_visited,
-                  (unsigned long long)e.node_pairs_pruned);
+                  (unsigned long long)e.points_evaluated);
   } else if (e.op == 'r') {
     std::snprintf(buf, sizeof(buf),
                   "trace #%llu: range(radius=%g) -> %zu results in %.3f ms\n",

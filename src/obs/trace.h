@@ -42,9 +42,6 @@ struct QueryTraceEntry : WorkCounters, Spans {
   /// Write spans, milliseconds.
   double wal_append_ms = 0.0;  // updates under a WAL: encode + pwrite
   double wal_fsync_ms = 0.0;   // updates in kAlways mode: fsync wait
-
-  /// Joins only: node pairs cut by the pair lower bound.
-  uint64_t node_pairs_pruned = 0;
 };
 
 /// Bounded ring of slow-call traces. Record() is concurrent-safe; entries

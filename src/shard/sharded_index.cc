@@ -437,11 +437,8 @@ StatusOr<JoinResult> ShardedIndex::KnnJoinImpl(const Matrix& r, size_t k,
   for (size_t i = 0; i < n; ++i) {
     BREP_RETURN_IF_ERROR(shard_status[i]);
     AddShardLanes(stats, shard_stats[i]);
-    out.stats.node_pairs_visited += per[i].stats.node_pairs_visited;
-    out.stats.node_pairs_pruned += per[i].stats.node_pairs_pruned;
     out.stats.leaf_blocks += per[i].stats.leaf_blocks;
     out.stats.pairs_evaluated += per[i].stats.pairs_evaluated;
-    out.stats.build_ms += per[i].stats.build_ms;
     out.stats.descent_ms += per[i].stats.descent_ms;
   }
   Timer merge_timer;

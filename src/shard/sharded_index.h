@@ -125,7 +125,7 @@ class ShardedIndex final : public SearchIndex {
       const Matrix& queries, size_t k, Stats* stats) const override;
   StatusOr<std::vector<std::vector<uint32_t>>> RangeBatchImpl(
       const Matrix& queries, double radius, Stats* stats) const override;
-  /// Scatter join: every shard runs its own dual-tree join over R (with k
+  /// Scatter join: every shard runs its own blocked-scan join over R (with k
   /// clamped to the shard's population), then the per-R-row lists merge
   /// through the global (distance, id) TopK -- byte-identical to one big
   /// index over the same data, like the query paths.

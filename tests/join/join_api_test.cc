@@ -153,10 +153,9 @@ TEST(JoinIndexTest, ExactJoinMatchesOracleAndFillsStats) {
                       "native index join");
 
   EXPECT_EQ(stats.queries, r.rows());
-  EXPECT_EQ(stats.nodes_visited, result->stats.node_pairs_visited);
   EXPECT_EQ(stats.leaves_visited, result->stats.leaf_blocks);
   EXPECT_EQ(stats.points_evaluated, result->stats.pairs_evaluated);
-  EXPECT_GT(result->stats.node_pairs_visited, 0u);
+  EXPECT_EQ(result->stats.pairs_evaluated, r.rows() * data.rows());
   EXPECT_GE(stats.wall_ms, 0.0);
 }
 
@@ -174,11 +173,10 @@ TEST(JoinIndexTest, ParallelHandleIsByteIdenticalToSequential) {
     ASSERT_TRUE(result.ok()) << result.status().message();
     ExpectJoinIdentical(result->neighbors, sequential->neighbors,
                         "threads=" + std::to_string(threads));
-    EXPECT_EQ(result->stats.node_pairs_visited,
-              sequential->stats.node_pairs_visited)
+    EXPECT_EQ(result->stats.leaf_blocks, sequential->stats.leaf_blocks)
         << threads << " threads";
-    EXPECT_EQ(result->stats.node_pairs_pruned,
-              sequential->stats.node_pairs_pruned)
+    EXPECT_EQ(result->stats.pairs_evaluated,
+              sequential->stats.pairs_evaluated)
         << threads << " threads";
   }
 }
@@ -234,33 +232,20 @@ TEST(JoinIndexTest, JoinWorkLandsInMetricsAndTraceRing) {
       snapshot.FindCounter(obs::kJoinRowsTotal);
   ASSERT_NE(rows, nullptr);
   EXPECT_EQ(*rows, r.rows());
-  const uint64_t* pairs =
-      snapshot.FindCounter(obs::kJoinNodePairsVisitedTotal);
-  ASSERT_NE(pairs, nullptr);
-  EXPECT_EQ(*pairs, result->stats.node_pairs_visited);
-  const uint64_t* pruned =
-      snapshot.FindCounter(obs::kJoinNodePairsPrunedTotal);
-  ASSERT_NE(pruned, nullptr);
-  EXPECT_EQ(*pruned, result->stats.node_pairs_pruned);
-  const uint64_t* blocks =
-      snapshot.FindCounter(obs::kJoinLeafBlocksTotal);
-  ASSERT_NE(blocks, nullptr);
-  EXPECT_EQ(*blocks, result->stats.leaf_blocks);
+  EXPECT_EQ(result->stats.pairs_evaluated, r.rows() * kN);
   const auto* latency =
       snapshot.FindHistogram(obs::kJoinLatencyMs);
   ASSERT_NE(latency, nullptr);
 
-  // Threshold 0 traces the call: op 'j' with the pair counters attached.
+  // Threshold 0 traces the call: op 'j' with the scan's work attached.
   const auto traces = built->SlowQueries();
   ASSERT_FALSE(traces.empty());
   const auto& entry = traces.back();
   EXPECT_EQ(entry.op, 'j');
   EXPECT_EQ(entry.k, 3u);
   EXPECT_EQ(entry.results, r.rows());
-  EXPECT_EQ(entry.nodes_visited, result->stats.node_pairs_visited);
   EXPECT_EQ(entry.leaves_visited, result->stats.leaf_blocks);
   EXPECT_EQ(entry.points_evaluated, result->stats.pairs_evaluated);
-  EXPECT_EQ(entry.node_pairs_pruned, result->stats.node_pairs_pruned);
   EXPECT_GE(entry.total_ms, 0.0);
 }
 
@@ -284,7 +269,8 @@ TEST(JoinShardedTest, ScatterJoinIsByteIdenticalToUnsharded) {
     ExpectJoinIdentical(result->neighbors, oracle,
                         std::to_string(shards) + " shards");
     EXPECT_EQ(stats.queries, r.rows()) << shards << " shards";
-    EXPECT_GT(result->stats.node_pairs_visited, 0u) << shards << " shards";
+    EXPECT_EQ(result->stats.pairs_evaluated, r.rows() * data.rows())
+        << shards << " shards";
   }
 }
 

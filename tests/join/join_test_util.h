@@ -16,10 +16,11 @@
 
 namespace brep::testing {
 
-/// Nested-loop ground-truth join: for every R row, the TopK over ALL S rows
-/// under the same divergence evaluations and the same (distance, id)
-/// tie-break the real engines use -- so a matching dual-tree result must be
-/// byte-identical (same ids in the same order, bit-equal distances).
+/// Nested-loop ground-truth join: for every R row, the TopK over ALL S rows,
+/// one Divergence call per pair, with the (distance, id) tie-break the real
+/// engines use -- so a join result must match it byte for byte (same ids in
+/// the same order, bit-equal distances), whether the join scans S through
+/// the batched kernels or answers per row.
 /// `s_ids` maps S row j to its reported id (defaults to j).
 inline std::vector<std::vector<Neighbor>> NestedLoopJoin(
     const BregmanDivergence& div, const Matrix& r, const Matrix& s, size_t k,
