@@ -343,7 +343,6 @@ void DiskBBTree::WriteBytes(uint64_t start, std::span<const uint8_t> bytes) {
   const uint64_t extent = uint64_t{pages_.size()} * page_size_;
   BREP_CHECK(bytes.size() <= extent && start <= extent - bytes.size());
   const size_t page_size = page_size_;
-  PageBuffer buf;
   size_t done = 0;
   while (done < bytes.size()) {
     const uint64_t pos = start + done;
@@ -355,9 +354,7 @@ void DiskBBTree::WriteBytes(uint64_t start, std::span<const uint8_t> bytes) {
     if (chunk == page_size) {
       pager_->Write(page, bytes.subspan(done, chunk));
     } else {
-      pager_->Read(page, &buf);
-      std::memcpy(buf.data() + in_page, bytes.data() + done, chunk);
-      pager_->Write(page, buf);
+      pager_->Patch(page, in_page, bytes.subspan(done, chunk));
     }
     done += chunk;
   }
@@ -653,8 +650,8 @@ void DiskBBTree::Insert(uint32_t id, std::span<const double> x) {
                      x);
       break;
     }
-    // Count and radius are adjacent header fields -- one read-modify-write
-    // of the page covers both.
+    // Count and radius are adjacent header fields -- one Patch of the page
+    // covers both.
     if (widened != node.ball.radius) {
       uint8_t fields[4 + 8];
       const uint32_t count = node.count + 1;

@@ -254,8 +254,10 @@ class DiskBBTree {
   /// pinned page into its destination.
   void ReadBytes(uint64_t start,
                  std::initializer_list<std::span<uint8_t>> outs) const;
-  /// Page-spanning byte store (read-modify-write through the pager, never
-  /// the pool); invalidates the pool entry of every touched page.
+  /// Page-spanning byte store through the pager, never the pool: a whole
+  /// page is a Pager::Write, a part of one a Pager::Patch (one read and one
+  /// write counted, at most one page copy). Each write advances the page's
+  /// generation, which invalidates its pool entry.
   void WriteBytes(uint64_t start, std::span<const uint8_t> bytes);
   template <typename T>
   void WriteField(uint64_t off, T v);

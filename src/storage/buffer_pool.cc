@@ -25,12 +25,11 @@ PagePin BufferPool::ReadPinned(PageId id, const PageSource& src) {
     }
   }
 
-  // Miss (or stale generation): fetch outside the lock so concurrent
-  // misses on distinct pages overlap their reads instead of serializing on
-  // the pool.
+  // Miss (or stale generation): pin outside the lock so concurrent misses
+  // on distinct pages overlap their reads instead of serializing on the
+  // pool.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  auto page = std::make_shared<PageImage>(src.page_size());
-  src.FetchPage(id, page->data());
+  PagePin page = src.PinPage(id);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(id);

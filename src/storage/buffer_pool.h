@@ -13,11 +13,6 @@
 
 namespace brep {
 
-/// A pinned page: shared ownership of an immutable page image. A pin keeps
-/// its bytes alive even after the pool evicts the page, so references into
-/// the buffer stay valid for as long as the caller holds the pin.
-using PagePin = std::shared_ptr<const PageImage>;
-
 /// LRU read cache over a Pager.
 ///
 /// Index traversal (BB-forest interior nodes, VA-file headers) goes through a
@@ -45,9 +40,11 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Read through the cache and pin the result. A miss costs one pager
-  /// read into a fresh, not zero-filled page image (never a recycled one:
-  /// a reader may still hold an evicted image's pin); a hit costs none.
-  /// Safe to call concurrently.
+  /// read, through PageSource::PinPage: a page held in memory (a shadow
+  /// page) is cached as the pager's or snapshot's own image, with no copy;
+  /// a base page is read into a fresh, not zero-filled image (never a
+  /// recycled one: a reader may still hold an evicted image's pin). A hit
+  /// costs none. Safe to call concurrently.
   PagePin ReadPinned(PageId id);
 
   /// Same, but fetch through `src` (a pinned PageSnapshot or the live

@@ -18,8 +18,9 @@ inline constexpr PageId kInvalidPageId = std::numeric_limits<PageId>::max();
 using PageBuffer = std::vector<uint8_t>;
 
 /// A page's bytes in storage that is not value-initialised: the buffer of
-/// a read that overwrites every byte (PageSource::FetchPage), where a
-/// PageBuffer would zero-fill the page just before the read replaces it.
+/// a read that overwrites every byte (PageSource::FetchPage) and of a
+/// Pager shadow page (whose writer fills every byte), where a PageBuffer
+/// would zero-fill the page just before the bytes replace it.
 class PageImage {
  public:
   explicit PageImage(size_t size)
@@ -34,6 +35,11 @@ class PageImage {
   std::unique_ptr<uint8_t[]> bytes_;
   size_t size_;
 };
+
+/// A pinned page: shared ownership of an immutable page image. A pin keeps
+/// its bytes alive and unchanged for as long as the caller holds it, even
+/// after a buffer pool evicts the page or the pager writes a newer version.
+using PagePin = std::shared_ptr<const PageImage>;
 
 /// Counters the evaluation uses as its "I/O cost" metric: number of page
 /// reads/writes issued against the simulated disk. The paper reports I/O

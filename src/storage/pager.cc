@@ -58,12 +58,14 @@ PageId Pager::GrowRun(size_t n) {
 PageId Pager::Allocate() {
   if (free_head_ == kInvalidPageId) return GrowRun(1);
   const PageId id = free_head_;
-  PageBuffer buf(page_size_);
-  ReadNoCount(id, buf.data());
-  reads_.fetch_add(1, std::memory_order_relaxed);
   PageId next = kInvalidPageId;
-  BREP_CHECK_MSG(ParseFreePageRecord(buf, &next),
-                 "corrupted free-list page record");
+  {  // unpin before the zeroing Write, so it may reuse the image in place
+    const PagePin record = PinPage(id);
+    BREP_CHECK_MSG(ParseFreePageRecord(
+                       std::span<const uint8_t>(record->data(), page_size_),
+                       &next),
+                   "corrupted free-list page record");
+  }
   BREP_CHECK_MSG(next == kInvalidPageId || next < num_pages_,
                  "corrupted free-list page record (next out of range)");
   free_head_ = next;
@@ -109,24 +111,46 @@ void Pager::RestoreFreeList(PageId head, uint64_t count) {
   free_count_ = count;
 }
 
+std::shared_ptr<PageImage> Pager::WritableImage(PageId id, bool keep_bytes) {
+  const VersionedPage& cur = table_[id];
+  // In place only when no one else can read the image. A generation newer
+  // than the last capture puts it in no snapshot: a snapshot shares the
+  // table chunks it captured, and the writer clones a shared chunk before
+  // setting an entry in it. use_count() == 1 leaves no pin or pool entry
+  // holding it. That count cannot go back up behind the writer's back:
+  // only the writer reaches a post-snapshot generation (readers pin through
+  // snapshots, and a pool hit needs the generation the caller's source
+  // reports), so other threads can only drop references to it -- a reader
+  // refreshing or evicting a pool entry -- never take one or read its bytes.
+  if (cur.data != nullptr && cur.gen > last_snapshot_gen_ &&
+      cur.data.use_count() == 1) {
+    return cur.data;
+  }
+  if (cur.data == nullptr) ++shadow_pages_;
+  auto image = std::make_shared<PageImage>(page_size_);
+  if (keep_bytes) ReadNoCount(id, image->data());
+  return image;
+}
+
 void Pager::Write(PageId id, std::span<const uint8_t> data) {
   BREP_CHECK(id < num_pages_);
   BREP_CHECK(data.size() <= page_size_);
-  const VersionedPage& cur = table_[id];
-  std::shared_ptr<PageBuffer> buf;
-  if (cur.data != nullptr && cur.gen > last_snapshot_gen_) {
-    // The shadow buffer was created after the last snapshot capture, so no
-    // snapshot can reference it: overwrite in place instead of allocating.
-    buf = cur.data;
-  } else {
-    buf = std::make_shared<PageBuffer>(page_size_, 0);
-    if (cur.data == nullptr) ++shadow_pages_;
+  std::shared_ptr<PageImage> image = WritableImage(id, /*keep_bytes=*/false);
+  if (!data.empty()) std::memcpy(image->data(), data.data(), data.size());
+  std::memset(image->data() + data.size(), 0, page_size_ - data.size());
+  table_.Set(id, VersionedPage{std::move(image), ++next_gen_});
+  writes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Pager::Patch(PageId id, size_t offset, std::span<const uint8_t> bytes) {
+  BREP_CHECK(id < num_pages_);
+  BREP_CHECK(offset <= page_size_ && bytes.size() <= page_size_ - offset);
+  std::shared_ptr<PageImage> image = WritableImage(id, /*keep_bytes=*/true);
+  if (!bytes.empty()) {
+    std::memcpy(image->data() + offset, bytes.data(), bytes.size());
   }
-  if (!data.empty()) std::memcpy(buf->data(), data.data(), data.size());
-  if (data.size() < page_size_) {
-    std::memset(buf->data() + data.size(), 0, page_size_ - data.size());
-  }
-  table_.Set(id, VersionedPage{std::move(buf), ++next_gen_});
+  table_.Set(id, VersionedPage{std::move(image), ++next_gen_});
+  reads_.fetch_add(1, std::memory_order_relaxed);
   writes_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -145,6 +169,19 @@ void Pager::FetchPage(PageId id, uint8_t* out) const {
   reads_.fetch_add(1, std::memory_order_relaxed);
 }
 
+PagePin Pager::PinPage(PageId id) const {
+  BREP_CHECK(id < num_pages_);
+  return PinEntry(id, table_[id]);
+}
+
+PagePin Pager::PinEntry(PageId id, const VersionedPage& entry) const {
+  reads_.fetch_add(1, std::memory_order_relaxed);
+  if (entry.data != nullptr) return entry.data;
+  auto image = std::make_shared<PageImage>(page_size_);
+  DoRead(id, image->data());
+  return image;
+}
+
 void Pager::Read(PageId id, PageBuffer* out) const {
   out->resize(page_size_);
   FetchPage(id, out->data());
@@ -159,7 +196,8 @@ void Pager::FlushToBase() {
   for (size_t id = 0; id < num_pages_; ++id) {
     const VersionedPage& entry = table_[id];
     if (entry.data == nullptr) continue;
-    DoWrite(static_cast<PageId>(id), *entry.data);
+    DoWrite(static_cast<PageId>(id),
+            std::span<const uint8_t>(entry.data->data(), page_size_));
     // Keep the generation: the backend now holds exactly these bytes, so
     // pooled copies stamped with it stay valid (generations never recycle).
     table_.Set(id, VersionedPage{nullptr, entry.gen});

@@ -51,6 +51,14 @@ class PageSource {
   /// one read on the underlying disk's I/O statistics.
   virtual void FetchPage(PageId id, uint8_t* out) const = 0;
 
+  /// Pin a page's bytes as this view holds them, counting one read like
+  /// FetchPage. A shadow page (one held in memory since the last
+  /// FlushToBase) is handed out as its own image, without a copy; a base
+  /// page is read into a fresh image. Either way the pin's bytes stay
+  /// unchanged for as long as it is held: the pager never writes in place
+  /// into an image anyone else holds (see Pager, "In-place rule").
+  virtual PagePin PinPage(PageId id) const = 0;
+
   /// Monotonic version stamp of the page's current contents in this view.
   virtual uint64_t PageGen(PageId id) const = 0;
 
@@ -74,21 +82,33 @@ class PageSource {
 ///    superblock (see storage/file_pager.h); an index built on it can be
 ///    reopened by a later process with zero rebuild work.
 ///
-/// MVCC shadow table: Write() never touches the backend in place. It lands
-/// in a copy-on-write page table as an immutable heap buffer stamped with a
-/// monotonically increasing generation; Read() consults that table before
-/// the backend. A PageSnapshot captures the table (an O(table/1024) spine
-/// copy) plus the free-list/catalog metadata, giving readers a frozen view
-/// that later writes can never perturb. FlushToBase() pushes the shadow
-/// pages down into the backend (the save/commit path); the generations
-/// survive the flush so cached pages never alias across versions.
+/// MVCC shadow table: Write() and Patch() never touch the backend in place.
+/// A write lands in a copy-on-write page table as a heap PageImage (the
+/// page's shadow image) stamped with a monotonically increasing
+/// generation; every read consults that table before the backend, and
+/// PinPage hands the shadow image itself out, so a buffer-pool miss on a
+/// page held in memory copies nothing. A PageSnapshot captures the table
+/// (an O(table/1024) spine copy) plus the free-list/catalog metadata,
+/// giving readers a frozen view that later writes can never perturb.
+/// FlushToBase() pushes the shadow pages down into the backend (the
+/// save/commit path); the generations survive the flush so cached pages
+/// never alias across versions.
 ///
-/// Thread-safety: Allocate()/Write()/Free()/FlushToBase()/CommitCatalog()
-/// are writer-side and must be externally serialized (BrePartition's writer
-/// mutex). Read()/FetchPage() on the live Pager are writer-side too; readers
-/// go through a PageSnapshot, whose FetchPage is safe against any concurrent
-/// writer activity except FlushToBase (the in-place save path drains reader
-/// pins first -- see BrePartition::SaveLocked).
+/// In-place rule: a write fills a new shadow image (Patch copies the
+/// page's current bytes into it first) unless the current image is private
+/// to the writer, which takes both a generation newer than the last
+/// snapshot capture (no snapshot holds it) and use_count() == 1 (no pin or
+/// pool entry holds it); then the write reuses that image in place. So a
+/// sub-page update copies the page at most once, and an image anyone else
+/// can read never changes.
+///
+/// Thread-safety: Allocate()/Write()/Patch()/Free()/FlushToBase()/
+/// CommitCatalog() are writer-side and must be externally serialized
+/// (BrePartition's writer mutex). Read()/FetchPage()/PinPage() on the live
+/// Pager are writer-side too; readers go through a PageSnapshot, whose
+/// FetchPage/PinPage are safe against any concurrent writer activity except
+/// FlushToBase (the in-place save path drains reader pins first -- see
+/// BrePartition::SaveLocked).
 class Pager : public PageSource {
  public:
   explicit Pager(size_t page_size_bytes);
@@ -139,12 +159,20 @@ class Pager : public PageSource {
   /// the COW shadow table, not the backend (see FlushToBase).
   void Write(PageId id, std::span<const uint8_t> data);
 
+  /// Overwrite bytes [offset, offset + bytes.size()) of a page and keep the
+  /// rest: the Read + modify + Write of a sub-page update, which copies the
+  /// page's current bytes once into a new shadow image, or not at all when
+  /// the in-place rule lets it reuse the current one. Counts one read and
+  /// one write, as the pair it replaces does.
+  void Patch(PageId id, size_t offset, std::span<const uint8_t> bytes);
+
   /// Read a page into `out` (resized to page size), consulting the shadow
   /// table before the backend. Counts one read.
   void Read(PageId id, PageBuffer* out) const;
 
   // PageSource: the writer's working view of the disk.
   void FetchPage(PageId id, uint8_t* out) const override;
+  PagePin PinPage(PageId id) const override;
   uint64_t PageGen(PageId id) const override;
 
   /// Push every shadow page down into the backend and drop the in-memory
@@ -210,14 +238,25 @@ class Pager : public PageSource {
 
   /// One shadow-table entry. `data == nullptr` means the page's current
   /// contents live in the backend (as-opened, or flushed there at
-  /// generation `gen`); otherwise `data` is the immutable current contents.
+  /// generation `gen`); otherwise `data` is the page's shadow image, which
+  /// only the in-place rule lets a later write change.
   struct VersionedPage {
-    std::shared_ptr<PageBuffer> data;
+    std::shared_ptr<PageImage> data;
     uint64_t gen = 0;
   };
 
-  /// Table-aware page fetch without touching the read counter (Allocate
-  /// counts its free-record read itself).
+  /// The shadow image a write to page `id` fills: the current one when the
+  /// in-place rule allows, else a new one -- holding a copy of the page's
+  /// current bytes when `keep_bytes`, uninitialised otherwise.
+  std::shared_ptr<PageImage> WritableImage(PageId id, bool keep_bytes);
+
+  /// PinPage of the page whose table entry (this pager's or a snapshot's)
+  /// is `entry`: its shadow image, or the backend's bytes in a fresh image.
+  /// Counts one read.
+  PagePin PinEntry(PageId id, const VersionedPage& entry) const;
+
+  /// Table-aware page fetch without touching the read counter (Patch
+  /// counts its read itself).
   void ReadNoCount(PageId id, uint8_t* out) const;
 
   /// Allocate `n` brand-new consecutive page ids (never from the
@@ -240,9 +279,9 @@ class Pager : public PageSource {
   /// writer clones any chunk a snapshot still shares before mutating it.
   CowVec<VersionedPage> table_;
   uint64_t next_gen_ = 0;
-  /// Highest generation captured by any PageSnapshot: a shadow buffer with
-  /// a newer generation is private to the working view, so Write may reuse
-  /// it in place instead of allocating a fresh page buffer.
+  /// Highest generation captured by any PageSnapshot: a shadow image with
+  /// a newer generation is in no snapshot, so Write/Patch may reuse it in
+  /// place once no pin holds it either (see WritableImage).
   uint64_t last_snapshot_gen_ = 0;
   size_t shadow_pages_ = 0;
 };

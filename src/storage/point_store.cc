@@ -165,11 +165,10 @@ void PointStore::AddPage() {
 
 void PointStore::WriteSlot(uint32_t page_index, uint16_t slot,
                            std::span<const double> x) {
-  PageBuffer buf;
-  pager_->Read(data_pages_[page_index], &buf);
-  std::memcpy(buf.data() + size_t{slot} * dim_ * sizeof(double), x.data(),
-              dim_ * sizeof(double));
-  pager_->Write(data_pages_[page_index], buf);
+  const size_t point_bytes = dim_ * sizeof(double);
+  pager_->Patch(data_pages_[page_index], size_t{slot} * point_bytes,
+                std::span<const uint8_t>(
+                    reinterpret_cast<const uint8_t*>(x.data()), point_bytes));
 }
 
 void PointStore::Append(uint32_t id, std::span<const double> x) {
@@ -217,9 +216,8 @@ void PointStore::Fetch(uint32_t id, std::span<double> out) const {
   BREP_CHECK_MSG(Contains(id), "Fetch of an id that is not stored");
   BREP_CHECK(out.size() == dim_);
   const PointAddress addr = address_of_[id];
-  PageImage buf(src_->page_size());
-  src_->FetchPage(addr.page, buf.data());
-  std::memcpy(out.data(), buf.data() + addr.slot * dim_ * sizeof(double),
+  const PagePin page = src_->PinPage(addr.page);
+  std::memcpy(out.data(), page->data() + addr.slot * dim_ * sizeof(double),
               dim_ * sizeof(double));
 }
 

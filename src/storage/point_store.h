@@ -109,15 +109,17 @@ class PointStore {
   PointAddress AddressOf(uint32_t id) const { return address_of_[id]; }
 
   /// Store `x` under `id`: either the next fresh id (== id_space()) or a
-  /// tombstoned id being reused. Costs one page read-modify-write (plus a
-  /// page allocation when no free slot exists).
+  /// tombstoned id being reused. Costs one page read-modify-write, a
+  /// Pager::Patch of the slot (plus a page allocation when no free slot
+  /// exists).
   void Append(uint32_t id, std::span<const double> x);
 
   /// Tombstone a live point. A page whose last point is removed is returned
   /// to the pager's free-list.
   void Remove(uint32_t id);
 
-  /// Read one live point (charges a read of its page).
+  /// Read one live point (charges a read of its page, pinned through
+  /// PageSource::PinPage, so a page held in memory is not copied).
   void Fetch(uint32_t id, std::span<double> out) const;
 
   /// Pages one query keeps between two fetches, so the second does not

@@ -31,6 +31,11 @@ void PageSnapshot::FetchPage(PageId id, uint8_t* out) const {
   base_->reads_.fetch_add(1, std::memory_order_relaxed);
 }
 
+PagePin PageSnapshot::PinPage(PageId id) const {
+  BREP_CHECK(id < num_pages_);
+  return base_->PinEntry(id, table_[id]);
+}
+
 uint64_t PageSnapshot::PageGen(PageId id) const {
   BREP_CHECK(id < num_pages_);
   return table_[id].gen;

@@ -21,7 +21,9 @@ namespace brep {
 /// live pager or a snapshot.
 ///
 /// Capture (the constructor) is writer-side: it must run under the writer
-/// mutex. FetchPage/PageGen are safe from any number of reader threads.
+/// mutex. FetchPage/PinPage/PageGen are safe from any number of reader
+/// threads. PinPage hands out the snapshot's shadow images themselves:
+/// capture makes the pager stop writing any of them in place.
 class PageSnapshot final : public PageSource {
  public:
   /// Capture the pager's current state. Non-const: records the capture
@@ -33,6 +35,7 @@ class PageSnapshot final : public PageSource {
   PageSnapshot& operator=(const PageSnapshot&) = delete;
 
   void FetchPage(PageId id, uint8_t* out) const override;
+  PagePin PinPage(PageId id) const override;
   uint64_t PageGen(PageId id) const override;
 
   size_t num_pages() const { return num_pages_; }

@@ -1,10 +1,14 @@
 #include "storage/buffer_pool.h"
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "storage/file_pager.h"
 
 namespace brep {
 namespace {
@@ -169,6 +173,55 @@ TEST_F(BufferPoolTest, ConcurrentMissesFillEveryByteOfTheirPages) {
   EXPECT_EQ(pool.hits() + pool.misses(), uint64_t(kThreads) * kItersPerThread);
   EXPECT_GT(pool.misses(), uint64_t(kItersPerThread));
   EXPECT_LE(pool.size(), 2u);
+}
+
+TEST_F(BufferPoolTest, MissOnAWrittenPageCachesThePagersOwnImage) {
+  // The fixture's pages were written and never flushed, so the pager holds
+  // each as a shadow image: a miss pins that image instead of copying it,
+  // and later writes leave the pinned bytes alone.
+  BufferPool pool(&pager_, 4);
+  const PagePin pin = pool.ReadPinned(6);
+  EXPECT_EQ(pager_.stats().reads, 1u);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pin.get(), pager_.PinPage(6).get());
+  EXPECT_EQ((*pin)[0], 6);
+
+  pager_.Patch(6, 0, std::vector<uint8_t>{60});
+  EXPECT_EQ((*pin)[0], 6);
+  const PagePin patched = pool.ReadPinned(6);
+  EXPECT_EQ((*patched)[0], 60);
+  EXPECT_EQ(patched.get(), pager_.PinPage(6).get());
+
+  pager_.Write(6, std::vector<uint8_t>{61});
+  EXPECT_EQ((*pin)[0], 6);
+  EXPECT_EQ((*patched)[0], 60);
+  EXPECT_EQ((*pool.ReadPinned(6))[0], 61);
+  EXPECT_EQ(pool.misses(), 3u);
+}
+
+TEST_F(BufferPoolTest, FilePagerBaseMissReadsIntoAPrivateImage) {
+  const std::string path =
+      ::testing::TempDir() + "brep_buffer_pool_base_miss.idx";
+  std::string error;
+  auto pager = FilePager::Create(path, 64, &error);
+  ASSERT_NE(pager, nullptr) << error;
+  for (int i = 0; i < 3; ++i) {
+    const PageId id = pager->Allocate();
+    pager->Write(id, std::vector<uint8_t>{static_cast<uint8_t>(10 + i)});
+  }
+  pager->FlushToBase();  // every page now lives only in the file
+  pager->ResetStats();
+
+  BufferPool pool(pager.get(), 2);
+  const PagePin pin = pool.ReadPinned(1);
+  EXPECT_EQ(pager->stats().reads, 1u);
+  EXPECT_EQ((*pin)[0], 11);
+  EXPECT_NE(pin.get(), pager->PinPage(1).get());  // each base pin reads anew
+  pager->Patch(1, 0, std::vector<uint8_t>{99});
+  EXPECT_EQ((*pin)[0], 11);
+  EXPECT_EQ((*pool.ReadPinned(1))[0], 99);
+  pager.reset();
+  std::remove(path.c_str());
 }
 
 TEST_F(BufferPoolTest, SequentialScanLargerThanPoolAlwaysMisses) {

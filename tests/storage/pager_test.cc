@@ -1,10 +1,13 @@
 #include "storage/pager.h"
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "storage/snapshot.h"
 
 namespace brep {
 namespace {
@@ -148,6 +151,107 @@ TEST(PagerTest, WriteBlobGrowsWhenNoContiguousRunExists) {
   const auto ids = pager.WriteBlob(std::vector<uint8_t>(64 * 2, 9));
   EXPECT_EQ(ids.front(), static_cast<PageId>(before));  // fresh run
   EXPECT_EQ(pager.num_free_pages(), 2u);  // scattered pages untouched
+}
+
+/// `size` bytes whose byte i is `seed + i` (mod 256).
+std::vector<uint8_t> Pattern(size_t size, uint8_t seed) {
+  std::vector<uint8_t> bytes(size);
+  for (size_t i = 0; i < size; ++i) bytes[i] = uint8_t(seed + i);
+  return bytes;
+}
+
+PageBuffer ReadPage(const Pager& pager, PageId id) {
+  PageBuffer buf;
+  pager.Read(id, &buf);
+  return buf;
+}
+
+TEST(PagerTest, PatchChangesOnlyItsRangeAndCountsOneReadAndOneWrite) {
+  MemPager pager(128);
+  const PageId id = pager.Allocate();
+  const std::vector<uint8_t> before = Pattern(128, 5);
+  for (const bool flushed : {false, true}) {
+    for (const size_t offset : {size_t{0}, size_t{40}, size_t{125}}) {
+      SCOPED_TRACE(std::string(flushed ? "base" : "shadow") + " page, offset " +
+                   std::to_string(offset));
+      pager.Write(id, before);
+      if (flushed) pager.FlushToBase();
+      const uint64_t gen = pager.PageGen(id);
+      const IoStats io = pager.stats();
+      const std::vector<uint8_t> patch{0xA1, 0xA2, 0xA3};
+      pager.Patch(id, offset, patch);
+      const IoStats delta = pager.stats() - io;
+      EXPECT_EQ(delta.reads, 1u);
+      EXPECT_EQ(delta.writes, 1u);
+      EXPECT_GT(pager.PageGen(id), gen);
+      std::vector<uint8_t> want = before;
+      std::copy(patch.begin(), patch.end(),
+                want.begin() + static_cast<ptrdiff_t>(offset));
+      EXPECT_EQ(ReadPage(pager, id), want);
+    }
+  }
+}
+
+TEST(PagerTest, PatchKeepsTheBytesOfAnEarlierSnapshot) {
+  // No pin is held across the first patch: the shadow image is referenced
+  // once, so only its pre-capture generation keeps Patch off it.
+  MemPager pager(128);
+  const PageId id = pager.Allocate();
+  const std::vector<uint8_t> before = Pattern(128, 9);
+  pager.Write(id, before);
+  const PageSnapshot snap(pager);
+  pager.Patch(id, 10, std::vector<uint8_t>(20, 0xFF));
+  const PagePin snap_pin = snap.PinPage(id);
+  pager.Patch(id, 50, std::vector<uint8_t>(20, 0xEE));  // private: in place
+
+  PageBuffer buf(128);
+  snap.FetchPage(id, buf.data());
+  EXPECT_EQ(buf, before);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), snap_pin->data()));
+  std::vector<uint8_t> want = before;
+  std::fill(want.begin() + 10, want.begin() + 30, 0xFF);
+  std::fill(want.begin() + 50, want.begin() + 70, 0xEE);
+  EXPECT_EQ(ReadPage(pager, id), want);
+}
+
+TEST(PagerTest, PatchKeepsTheBytesOfAnEarlierPin) {
+  // The page is written after the last snapshot capture (there is none),
+  // so only the pin stops Patch from reusing the image in place.
+  MemPager pager(128);
+  const PageId id = pager.Allocate();
+  const std::vector<uint8_t> before = Pattern(128, 3);
+  pager.Write(id, before);
+  const PagePin pin = pager.PinPage(id);
+  EXPECT_EQ(pin.get(), pager.PinPage(id).get());  // the shadow image itself
+  pager.Patch(id, 0, std::vector<uint8_t>(128, 0x77));
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), pin->data()));
+  EXPECT_NE(pager.PinPage(id).get(), pin.get());
+  EXPECT_EQ(ReadPage(pager, id), std::vector<uint8_t>(128, 0x77));
+}
+
+TEST(PagerTest, PinPageCountsOneReadAndHandsOutShadowImages) {
+  MemPager pager(64);
+  const PageId id = pager.Allocate();
+  pager.Write(id, Pattern(64, 1));
+  IoStats io = pager.stats();
+  const PagePin shadow = pager.PinPage(id);
+  EXPECT_EQ((pager.stats() - io).reads, 1u);
+  EXPECT_EQ(shadow.get(), pager.PinPage(id).get());
+
+  pager.FlushToBase();  // now a base page: every pin reads a fresh image
+  io = pager.stats();
+  const PagePin base = pager.PinPage(id);
+  EXPECT_EQ((pager.stats() - io).reads, 1u);
+  EXPECT_NE(base.get(), pager.PinPage(id).get());
+  const std::vector<uint8_t> want = Pattern(64, 1);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), base->data()));
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), shadow->data()));
+}
+
+TEST(PagerDeathTest, RejectsPatchPastThePageEnd) {
+  MemPager pager(64);
+  const PageId id = pager.Allocate();
+  EXPECT_DEATH(pager.Patch(id, 60, std::vector<uint8_t>(5, 1)), "offset");
 }
 
 TEST(PagerDeathTest, RejectsTinyPageSize) {
