@@ -64,6 +64,11 @@ inline constexpr char kInsertsTotal[] = "brep_inserts_total";
 inline constexpr char kDeletesTotal[] = "brep_deletes_total";
 inline constexpr char kPagerReadsTotal[] = "brep_pager_reads_total";
 inline constexpr char kPagerWritesTotal[] = "brep_pager_writes_total";
+/// FilePager backend reads, one sample each: a base page pinned as a view
+/// of the file mapping, or copied out of it (FetchPage, Patch). So the
+/// count equals the base-page reads. A mapped page's first touch faults
+/// in the caller's copy of its bytes (a node decode, a point's refine),
+/// which this histogram does not time; a pin's own sample is near zero.
 inline constexpr char kIoReadLatencyMs[] = "brep_io_read_latency_ms";
 inline constexpr char kIoWriteLatencyMs[] = "brep_io_write_latency_ms";
 inline constexpr char kIoSyncLatencyMs[] = "brep_io_sync_latency_ms";

@@ -22,9 +22,11 @@ namespace brep {
 ///
 /// The pool is thread-safe: ReadPinned() may be called from any number of
 /// threads concurrently (the query engine runs one filter task per subspace
-/// tree, and batched queries share each tree's pool). Cached pages are held
-/// by shared_ptr, so eviction by one thread never invalidates bytes another
-/// thread is still reading through its pin.
+/// tree, and batched queries share each tree's pool). Cached pages are
+/// pins (PageSource::PinPage): the pager's shadow image, or on a FilePager
+/// a view into the file mapping, which the pin co-owns. Eviction by one
+/// thread therefore never invalidates bytes another thread is still
+/// reading through its pin, and the pool holds no page bytes of its own.
 ///
 /// MVCC: entries are keyed by page GENERATION as well as id. A cached page
 /// is a hit only when its generation matches what the caller's PageSource
@@ -41,10 +43,11 @@ class BufferPool {
 
   /// Read through the cache and pin the result. A miss costs one pager
   /// read, through PageSource::PinPage: a page held in memory (a shadow
-  /// page) is cached as the pager's or snapshot's own image, with no copy;
-  /// a base page is read into a fresh, not zero-filled image (never a
-  /// recycled one: a reader may still hold an evicted image's pin). A hit
-  /// costs none. Safe to call concurrently.
+  /// page) is cached as the pager's or snapshot's own image, and a
+  /// FilePager base page as a view of the page in the file mapping, both
+  /// with no copy; a MemPager base page is copied into a fresh image
+  /// (never a recycled one: a reader may still hold an evicted image's
+  /// pin). A hit costs none. Safe to call concurrently.
   PagePin ReadPinned(PageId id);
 
   /// Same, but fetch through `src` (a pinned PageSnapshot or the live

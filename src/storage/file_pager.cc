@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -33,11 +34,24 @@ std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
-bool PreadAll(int fd, uint8_t* out, size_t len, uint64_t offset) {
+/// Pages are read in place from the mapping, so a page must start at a
+/// multiple of alignof(double) (the point store hands out its doubles
+/// where they lie); the mapping and the superblock are 4096-aligned.
+bool ValidPageSize(uint64_t page_size) {
+  return page_size >= 64 && page_size <= kMaxPageSize &&
+         page_size % alignof(double) == 0;
+}
+
+/// Read the superblock: the one read this file issues as a syscall, since
+/// pages are read through the mapping, which Open makes only after the
+/// superblock has validated the file.
+bool ReadSuperblock(int fd, std::vector<uint8_t>* superblock) {
+  superblock->resize(kSuperblockBytes);
   size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pread(fd, out + done, len - done,
-                              static_cast<off_t>(offset + done));
+  while (done < kSuperblockBytes) {
+    const ssize_t n = ::pread(fd, superblock->data() + done,
+                              kSuperblockBytes - done,
+                              static_cast<off_t>(done));
     if (n < 0 && errno == EINTR) continue;  // interrupted, not failed
     if (n <= 0) return false;  // 0 = truncated file, <0 = I/O error (errno)
     done += static_cast<size_t>(n);
@@ -58,6 +72,29 @@ bool PwriteAll(int fd, const uint8_t* src, size_t len, uint64_t offset) {
 }
 
 }  // namespace
+
+/// One read-only MAP_SHARED mapping of the file's first `length` bytes,
+/// unmapped when its last owner -- the pager, or a pin into it -- lets go.
+struct FilePager::Mapping {
+  Mapping(const uint8_t* mapped, size_t mapped_length)
+      : bytes(mapped), length(mapped_length) {}
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+  ~Mapping() { ::munmap(const_cast<uint8_t*>(bytes), length); }
+
+  const uint8_t* bytes;
+  size_t length;
+};
+
+/// A base-page pin: a view of the page inside `mapping`, which it co-owns.
+struct FilePager::MappedPage {
+  MappedPage(std::shared_ptr<const Mapping> owner, const uint8_t* bytes,
+             size_t size)
+      : mapping(std::move(owner)), view(PageImage::View(bytes, size)) {}
+
+  std::shared_ptr<const Mapping> mapping;
+  PageImage view;
+};
 
 FilePager::FilePager(std::string path, int fd, size_t page_size_bytes,
                      bool writable)
@@ -121,8 +158,9 @@ bool FilePager::WriteSuperblock() {
 std::unique_ptr<FilePager> FilePager::Create(const std::string& path,
                                              size_t page_size_bytes,
                                              std::string* error) {
-  if (page_size_bytes < 64 || page_size_bytes > kMaxPageSize) {
-    SetError(error, "page size must be between 64 bytes and 1 GB");
+  if (!ValidPageSize(page_size_bytes)) {
+    SetError(error,
+             "page size must be a multiple of 8 between 64 bytes and 1 GB");
     return nullptr;
   }
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -156,9 +194,9 @@ std::unique_ptr<FilePager> FilePager::Open(const std::string& path,
     SetError(error, Errno("cannot open " + path));
     return nullptr;
   }
-  std::vector<uint8_t> block(kSuperblockBytes);
+  std::vector<uint8_t> block;
   errno = 0;
-  if (!PreadAll(fd, block.data(), block.size(), 0)) {
+  if (!ReadSuperblock(fd, &block)) {
     // Distinguish a short file from a real read error so an operator never
     // deletes a healthy index over a transient EIO.
     const std::string msg =
@@ -204,7 +242,7 @@ std::unique_ptr<FilePager> FilePager::Open(const std::string& path,
     SetError(error, path + ": superblock checksum mismatch (corrupted file)");
     return nullptr;
   }
-  if (page_size < 64 || page_size > kMaxPageSize) {
+  if (!ValidPageSize(page_size)) {
     ::close(fd);
     SetError(error, path + ": invalid page size in superblock");
     return nullptr;
@@ -239,6 +277,10 @@ std::unique_ptr<FilePager> FilePager::Open(const std::string& path,
   pager->set_num_pages(num_pages);
   pager->grown_pages_ = num_pages;
   if (catalog.num_pages > 0) pager->set_catalog(catalog);
+  if (!pager->MapFile(need)) {
+    SetError(error, Errno("cannot map " + path));
+    return nullptr;
+  }
 
   // Free-list: validate the superblock fields and walk the whole on-disk
   // chain before adopting it. FNV-1a is not cryptographic, so Allocate()
@@ -327,6 +369,7 @@ void FilePager::DoGrow(size_t new_num_pages) {
   const off_t size =
       static_cast<off_t>(kSuperblockBytes + target * page_size());
   BREP_CHECK_MSG(::ftruncate(fd_, size) == 0, "ftruncate failed");
+  BREP_CHECK_MSG(MapFile(static_cast<uint64_t>(size)), "mmap failed");
   grown_pages_ = target;
 }
 
@@ -348,11 +391,52 @@ void FilePager::DoWrite(PageId id, std::span<const uint8_t> data) {
   write_ms_.Record(write_timer.ElapsedMillis());
 }
 
+bool FilePager::MapFile(uint64_t bytes) {
+  void* mapped = ::mmap(nullptr, bytes, PROT_READ, MAP_SHARED, fd_, 0);
+  if (mapped == MAP_FAILED) return false;
+  std::shared_ptr<const Mapping> map =
+      std::make_shared<Mapping>(static_cast<const uint8_t*>(mapped), bytes);
+  std::lock_guard<std::mutex> lock(map_mu_);
+  map_.swap(map);  // the old mapping goes when its last pin does
+  return true;
+}
+
+std::shared_ptr<const FilePager::Mapping> FilePager::CurrentMapping() const {
+  std::lock_guard<std::mutex> lock(map_mu_);
+  return map_;
+}
+
 void FilePager::DoRead(PageId id, uint8_t* out) const {
   Timer read_timer;
-  BREP_CHECK_MSG(PreadAll(fd_, out, page_size(), PageOffset(id)),
-                 "page read failed");
+  const std::shared_ptr<const Mapping> map = CurrentMapping();
+  std::memcpy(out, map->bytes + PageOffset(id), page_size());
   read_ms_.Record(read_timer.ElapsedMillis());
+}
+
+// Pins into the mapping. A base-page pin views the file's bytes in place,
+// so it keeps the PinPage contract only while nothing writes that page of
+// the file:
+//  * Only FlushToBase writes pages (DoWrite), and only pages that hold a
+//    shadow image. A page gets a shadow image, with a new generation, only
+//    from a write, so the page's generation is newer than that of any pin
+//    of its base bytes.
+//  * BrePartition::SaveLocked publishes the current version, which reports
+//    the new generation, and runs DrainRetiredLocked before it flushes. So
+//    every version that could report the older generation is retired
+//    first, and no query is still reading through one.
+//  * A BufferPool entry hits only on the generation its caller's source
+//    reports, so the pool never serves an entry stamped with the older
+//    generation again, though it may hold one until eviction.
+// Growth never moves a pinned page: DoGrow maps the grown file as a new
+// mapping object, and each pin co-owns the mapping it points into.
+PagePin FilePager::DoPin(PageId id) const {
+  Timer read_timer;
+  std::shared_ptr<const Mapping> map = CurrentMapping();
+  const uint8_t* bytes = map->bytes + PageOffset(id);
+  auto page = std::make_shared<MappedPage>(std::move(map), bytes, page_size());
+  const PageImage* view = &page->view;
+  read_ms_.Record(read_timer.ElapsedMillis());
+  return PagePin(std::move(page), view);
 }
 
 bool FilePager::SyncDirectory(const std::string& file_path) {

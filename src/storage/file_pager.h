@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,15 +29,27 @@ namespace brep {
 /// validates the whole chain before trusting it, so a corrupted free-list
 /// is a clean open error, never a crash on a later Allocate().
 ///
-/// Reads are positioned (pread) at page-aligned offsets, so any number of
-/// threads may Read() concurrently -- the same contract as MemPager.
-/// Writes and Allocate() remain build-path single-threaded. CommitCatalog
+/// Reads go through a read-only MAP_SHARED mapping of the whole file, made
+/// at Open (and by each DoGrow, as a new mapping object, after the file
+/// grows): a base-page pin (PageSource::PinPage) is a view of the page
+/// inside the mapping, with no copy, and DoRead copies out of it. The
+/// superblock is the one byte range read with a syscall, before the
+/// mapping exists. Each pin co-owns the mapping it points into, so growth
+/// or the pager's destruction never unmaps bytes a pin or a pool entry
+/// still reads; an old mapping is unmapped when its last owner lets go.
+/// Any number of threads may read concurrently with each other and with
+/// the writer's growth -- the same contract as MemPager. Writes are
+/// positioned (pwrite) and, with Allocate(), stay writer-side; the
+/// mapping sees them through the shared page cache. A media error on a
+/// mapped page raises SIGBUS in the reading thread. CommitCatalog
 /// rewrites the superblock and fsyncs, which is the durability point: a
 /// file without a committed superblock update since its last writes simply
 /// reopens with the previously committed state.
 ///
 /// Open() validates magic, version, checksum and file size, and reports
-/// corruption as a clean error string instead of crashing.
+/// corruption, like a failed mapping, as a clean error string instead of
+/// crashing. The page size must be a multiple of 8, so the doubles a
+/// mapped page holds are read in place aligned (PointStore::FetchMany).
 class FilePager final : public Pager {
  public:
   /// On-disk format version; bumped on any incompatible layout change.
@@ -92,9 +105,12 @@ class FilePager final : public Pager {
                       fdatasyncs_.load(std::memory_order_relaxed)};
   }
 
-  /// Real-I/O latency distributions (pread / pwrite / Sync barriers).
-  /// Snapshot-safe concurrently with serving; only the FilePager has these
-  /// (MemPager does no real I/O, so it honestly reports nothing).
+  /// Real-I/O latency distributions: backend reads (one sample per
+  /// DoRead copy or DoPin view, so the count equals the base-page reads),
+  /// pwrite and Sync barriers. A mapped page's faults land in whoever
+  /// first touches its bytes, not in a read sample. Snapshot-safe
+  /// concurrently with serving; only the FilePager has these (MemPager
+  /// does no real I/O, so it honestly reports nothing).
   obs::HistogramSnapshot read_latency() const { return read_ms_.Snapshot(); }
   obs::HistogramSnapshot write_latency() const { return write_ms_.Snapshot(); }
   obs::HistogramSnapshot sync_latency() const { return sync_ms_.Snapshot(); }
@@ -108,12 +124,20 @@ class FilePager final : public Pager {
   void DoGrow(size_t new_num_pages) override;
   void DoWrite(PageId id, std::span<const uint8_t> data) override;
   void DoRead(PageId id, uint8_t* out) const override;
+  PagePin DoPin(PageId id) const override;
 
  private:
+  struct Mapping;
+  struct MappedPage;
+
   FilePager(std::string path, int fd, size_t page_size_bytes, bool writable);
 
   bool WriteSuperblock();
   uint64_t PageOffset(PageId id) const;
+  /// Map the file's first `bytes` bytes read-only and make that the
+  /// current mapping; false (errno set) if mmap fails.
+  bool MapFile(uint64_t bytes);
+  std::shared_ptr<const Mapping> CurrentMapping() const;
 
   std::string path_;
   int fd_;
@@ -130,6 +154,10 @@ class FilePager final : public Pager {
   obs::LatencyHistogram write_ms_;
   obs::LatencyHistogram sync_ms_;
   std::vector<uint8_t> scratch_;  // build-path short-write assembly buffer
+  /// The mapping covering every page; DoGrow replaces it under map_mu_
+  /// while readers copy it.
+  mutable std::mutex map_mu_;
+  std::shared_ptr<const Mapping> map_;
 };
 
 }  // namespace brep

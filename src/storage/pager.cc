@@ -177,9 +177,7 @@ PagePin Pager::PinPage(PageId id) const {
 PagePin Pager::PinEntry(PageId id, const VersionedPage& entry) const {
   reads_.fetch_add(1, std::memory_order_relaxed);
   if (entry.data != nullptr) return entry.data;
-  auto image = std::make_shared<PageImage>(page_size_);
-  DoRead(id, image->data());
-  return image;
+  return DoPin(id);
 }
 
 void Pager::Read(PageId id, PageBuffer* out) const {
@@ -321,6 +319,12 @@ void MemPager::DoRead(PageId id, uint8_t* out) const {
     return;
   }
   std::memcpy(out, page->data(), page_size());
+}
+
+PagePin MemPager::DoPin(PageId id) const {
+  auto image = std::make_shared<PageImage>(page_size());
+  DoRead(id, image->data());
+  return image;
 }
 
 }  // namespace brep

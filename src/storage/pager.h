@@ -46,17 +46,28 @@ class PageSource {
   /// Bytes per page.
   size_t page_size() const { return page_size_; }
 
-  /// Read a page into `out`, which must hold page_size() bytes. Every byte
+  /// Copy a page into `out`, which must hold page_size() bytes. Every byte
   /// is overwritten, so `out` need not be initialised (PageImage). Counts
-  /// one read on the underlying disk's I/O statistics.
+  /// one read on the underlying disk's I/O statistics. For callers that
+  /// keep a copy of their own; a read that only looks at the bytes pins
+  /// them (PinPage), which copies nothing on a FilePager.
   virtual void FetchPage(PageId id, uint8_t* out) const = 0;
 
   /// Pin a page's bytes as this view holds them, counting one read like
   /// FetchPage. A shadow page (one held in memory since the last
-  /// FlushToBase) is handed out as its own image, without a copy; a base
-  /// page is read into a fresh image. Either way the pin's bytes stay
-  /// unchanged for as long as it is held: the pager never writes in place
-  /// into an image anyone else holds (see Pager, "In-place rule").
+  /// FlushToBase) is handed out as its own image, without a copy. A base
+  /// page is the backend's (Pager::DoPin): a FilePager hands out a
+  /// read-only view of the page inside its file mapping, also without a
+  /// copy; a MemPager copies it into a fresh image. The pin's bytes stay
+  /// unchanged for as long as it is held:
+  ///  * the pager never writes in place into a shadow image anyone else
+  ///    holds (see Pager, "In-place rule");
+  ///  * a base-page pin of a FilePager views the file, which only
+  ///    FlushToBase overwrites, only for a page whose generation is newer
+  ///    than the pin's, and only after the save path has retired every
+  ///    version that could report the older generation; the
+  ///    generation-keyed BufferPool therefore never serves such an entry
+  ///    again (see FilePager, "Pins into the mapping").
   virtual PagePin PinPage(PageId id) const = 0;
 
   /// Monotonic version stamp of the page's current contents in this view.
@@ -179,7 +190,9 @@ class Pager : public PageSource {
   /// copies (generations are preserved, so pooled pages stay valid). Called
   /// on the save path after draining reader pins: a reader snapshot taken
   /// BEFORE the pages being flushed were written may read them from the
-  /// backend, which this overwrites.
+  /// backend, which this overwrites -- and on a FilePager, base-page pins
+  /// and pool entries of those older generations view the file bytes this
+  /// overwrites (PageSource::PinPage), so none may be read past this call.
   void FlushToBase();
 
   /// Pages currently held as in-memory shadow copies (feeds the
@@ -222,12 +235,15 @@ class Pager : public PageSource {
  protected:
   /// Backend hooks. `DoWrite` receives at most page_size() bytes and must
   /// zero-fill the rest of the page; `DoRead` fills exactly page_size()
-  /// bytes; `DoGrow` extends the backing store to `new_num_pages` zeroed
-  /// pages. `DoRead` must tolerate concurrent DoRead/DoGrow calls (snapshot
-  /// readers fetch base pages while the writer allocates).
+  /// bytes; `DoPin` pins a base page's bytes (the base-page branch of
+  /// PinPage, which counts the read); `DoGrow` extends the backing store
+  /// to `new_num_pages` zeroed pages. `DoRead` and `DoPin` must tolerate
+  /// concurrent DoRead/DoPin/DoGrow calls (snapshot readers fetch base
+  /// pages while the writer allocates).
   virtual void DoGrow(size_t new_num_pages) = 0;
   virtual void DoWrite(PageId id, std::span<const uint8_t> data) = 0;
   virtual void DoRead(PageId id, uint8_t* out) const = 0;
+  virtual PagePin DoPin(PageId id) const = 0;
 
   /// For backends that restore an existing disk (FilePager::Open).
   void set_num_pages(size_t n);
@@ -251,8 +267,8 @@ class Pager : public PageSource {
   std::shared_ptr<PageImage> WritableImage(PageId id, bool keep_bytes);
 
   /// PinPage of the page whose table entry (this pager's or a snapshot's)
-  /// is `entry`: its shadow image, or the backend's bytes in a fresh image.
-  /// Counts one read.
+  /// is `entry`: its shadow image, or the backend's pin (DoPin). Counts
+  /// one read.
   PagePin PinEntry(PageId id, const VersionedPage& entry) const;
 
   /// Table-aware page fetch without touching the read counter (Patch
@@ -295,7 +311,9 @@ class Pager : public PageSource {
 /// not move existing pages, because snapshot readers fetch base pages
 /// concurrently with the writer allocating. The mutex guards only the
 /// container structure -- the per-page buffer is addressed under the lock
-/// and copied outside it (element references are growth-stable).
+/// and copied outside it (element references are growth-stable). A base
+/// page's pin is a fresh copy (DoPin), since FlushToBase rewrites the
+/// backend's buffers in place.
 class MemPager : public Pager {
  public:
   explicit MemPager(size_t page_size_bytes) : Pager(page_size_bytes) {}
@@ -304,6 +322,7 @@ class MemPager : public Pager {
   void DoGrow(size_t new_num_pages) override;
   void DoWrite(PageId id, std::span<const uint8_t> data) override;
   void DoRead(PageId id, uint8_t* out) const override;
+  PagePin DoPin(PageId id) const override;
 
  private:
   mutable std::mutex mu_;

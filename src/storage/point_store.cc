@@ -224,7 +224,7 @@ void PointStore::Fetch(uint32_t id, std::span<double> out) const {
 const PageImage* PointStore::PageMemo::Find(PageId id) const {
   const auto it = std::lower_bound(ids.begin(), ids.end(), id);
   if (it == ids.end() || *it != id) return nullptr;
-  return &pages[static_cast<size_t>(it - ids.begin())];
+  return pages[static_cast<size_t>(it - ids.begin())].get();
 }
 
 void PointStore::FetchMany(
@@ -243,7 +243,7 @@ void PointStore::FetchMany(
   });
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
-  PageImage buf(src_->page_size());
+  PagePin pin;                    // the loaded page, unless `reuse` kept it
   const uint8_t* page = nullptr;  // the loaded page's bytes
   PageId loaded = kInvalidPageId;
   for (uint32_t id : sorted) {
@@ -254,13 +254,12 @@ void PointStore::FetchMany(
       const PageImage* kept =
           reuse != nullptr ? reuse->Find(addr.page) : nullptr;
       if (kept == nullptr) {
-        PageImage* into = &buf;
+        pin = src_->PinPage(addr.page);
         if (keep != nullptr) {
           keep->ids.push_back(addr.page);
-          into = &keep->pages.emplace_back(src_->page_size());
+          keep->pages.push_back(pin);
         }
-        src_->FetchPage(addr.page, into->data());
-        kept = into;
+        kept = pin.get();
       }
       page = kept->data();
     }

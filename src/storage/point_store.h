@@ -49,7 +49,9 @@ struct PointStoreLayout {
 /// other subspaces index mostly the same pages, and candidate refinement
 /// touches few distinct pages. `FetchMany` reads each distinct page exactly
 /// once, which is what a real engine would do after sorting candidate
-/// addresses.
+/// addresses. Reads pin pages (PageSource::PinPage) rather than copy them:
+/// a page held in memory, or a FilePager page inside its file mapping, is
+/// read where it lies.
 ///
 /// The store is mutable: `Append` places a new (or re-used) id into a free
 /// slot -- tombstoned slots first, then the tail of the last page, growing
@@ -119,24 +121,27 @@ class PointStore {
   void Remove(uint32_t id);
 
   /// Read one live point (charges a read of its page, pinned through
-  /// PageSource::PinPage, so a page held in memory is not copied).
+  /// PageSource::PinPage, so a page held in memory or in a FilePager's
+  /// mapping is not copied, only the point).
   void Fetch(uint32_t id, std::span<double> out) const;
 
-  /// Pages one query keeps between two fetches, so the second does not
-  /// read again a page the first read (a kNN query's seeds, then its
-  /// refine). Ascending by page id.
+  /// Pins of the pages one query keeps between two fetches, so the second
+  /// does not read again a page the first read (a kNN query's seeds, then
+  /// its refine). Ascending by page id. Query-scoped: the pins hold shadow
+  /// images and file mappings alive, like any pin.
   struct PageMemo {
     std::vector<PageId> ids;
-    std::vector<PageImage> pages;
+    std::vector<PagePin> pages;
     /// The kept page `id`, or nullptr.
     const PageImage* Find(PageId id) const;
   };
 
-  /// Fetch a batch: distinct pages are read once each, in ascending page
-  /// order; `cb` is invoked once per requested id (duplicates in `ids` are
-  /// collapsed). This is the refinement step's I/O pattern. Pages `reuse`
-  /// holds are served from it without a read; every page read is added to
-  /// `keep` (which must start empty).
+  /// Fetch a batch: distinct pages are pinned once each, in ascending page
+  /// order, each pin counting one read; `cb` is invoked once per requested
+  /// id (duplicates in `ids` are collapsed) with a span that points into
+  /// the pinned page, valid for the call. This is the refinement step's
+  /// I/O pattern. Pages `reuse` holds are served from it without a read;
+  /// every page read is added to `keep` (which must start empty).
   void FetchMany(std::span<const uint32_t> ids,
                  const std::function<void(uint32_t, std::span<const double>)>&
                      cb,

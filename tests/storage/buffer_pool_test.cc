@@ -199,7 +199,7 @@ TEST_F(BufferPoolTest, MissOnAWrittenPageCachesThePagersOwnImage) {
   EXPECT_EQ(pool.misses(), 3u);
 }
 
-TEST_F(BufferPoolTest, FilePagerBaseMissReadsIntoAPrivateImage) {
+TEST_F(BufferPoolTest, FilePagerBaseMissPinsTheMappedFile) {
   const std::string path =
       ::testing::TempDir() + "brep_buffer_pool_base_miss.idx";
   std::string error;
@@ -216,10 +216,55 @@ TEST_F(BufferPoolTest, FilePagerBaseMissReadsIntoAPrivateImage) {
   const PagePin pin = pool.ReadPinned(1);
   EXPECT_EQ(pager->stats().reads, 1u);
   EXPECT_EQ((*pin)[0], 11);
-  EXPECT_NE(pin.get(), pager->PinPage(1).get());  // each base pin reads anew
+  EXPECT_EQ(pin->data(), pager->PinPage(1)->data());  // the mapping's bytes
   pager->Patch(1, 0, std::vector<uint8_t>{99});
   EXPECT_EQ((*pin)[0], 11);
   EXPECT_EQ((*pool.ReadPinned(1))[0], 99);
+  pager.reset();
+  std::remove(path.c_str());
+}
+
+TEST_F(BufferPoolTest, FilePagerRewrittenPageMissesAndReloads) {
+  // RewrittenPageMissesAndReloads on a file, across a FlushToBase: the
+  // pool's entry views the page in the file mapping, and the flush
+  // rewrites those bytes. The entry keeps its older generation, so the
+  // pool never serves it again; the next read refreshes it in place.
+  const std::string path =
+      ::testing::TempDir() + "brep_buffer_pool_rewritten.idx";
+  std::string error;
+  auto pager = FilePager::Create(path, 64, &error);
+  ASSERT_NE(pager, nullptr) << error;
+  for (int i = 0; i < 10; ++i) {
+    const PageId id = pager->Allocate();
+    pager->Write(id, std::vector<uint8_t>{static_cast<uint8_t>(i)});
+  }
+  pager->FlushToBase();
+  pager->ResetStats();
+
+  BufferPool pool(pager.get(), 4);
+  PagePin before = pool.ReadPinned(5);
+  pool.ReadPinned(5);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 1u);
+  const size_t resident = pool.size();
+
+  const uint64_t gen = pager->PageGen(5);
+  pager->Write(5, std::vector<uint8_t>{42});
+  ASSERT_GT(pager->PageGen(5), gen);
+  EXPECT_EQ((*before)[0], 5);  // the write went to a shadow image
+  // The save path retires every reader of the older generation before it
+  // flushes; a pin held across the flush would see the new bytes.
+  before.reset();
+  pager->FlushToBase();
+
+  const PagePin after = pool.ReadPinned(5);
+  EXPECT_EQ((*after)[0], 42);
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.evictions(), 0u);  // a version refresh, not an eviction
+  EXPECT_EQ(pool.size(), resident);
+  EXPECT_EQ(pager->stats().reads, 2u);
+  EXPECT_EQ(after->data(), pager->PinPage(5)->data());  // the mapping again
   pager.reset();
   std::remove(path.c_str());
 }

@@ -1,8 +1,10 @@
 #include "storage/file_pager.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -11,12 +13,67 @@
 
 #include "common/rng.h"
 #include "storage/serial.h"
+#include "storage/snapshot.h"
 
 namespace brep {
 namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "brep_file_pager_" + name;
+}
+
+/// Page `id`'s bytes in the tests that check where a page's bytes come
+/// from: a different pattern on every page.
+std::vector<uint8_t> PagePattern(size_t size, PageId id) {
+  std::vector<uint8_t> bytes(size);
+  for (size_t j = 0; j < size; ++j) {
+    bytes[j] = static_cast<uint8_t>(id * 31 + j * 7 + (id >> 8));
+  }
+  return bytes;
+}
+
+bool HoldsPattern(const PageImage& page, PageId id) {
+  const std::vector<uint8_t> want = PagePattern(page.size(), id);
+  return std::equal(want.begin(), want.end(), page.data());
+}
+
+/// A fresh file of `pages` pages of PagePattern, flushed: every page is a
+/// base page, read from the file.
+std::unique_ptr<FilePager> PatternedFile(const std::string& path,
+                                         size_t page_size, PageId pages) {
+  std::string error;
+  auto pager = FilePager::Create(path, page_size, &error);
+  EXPECT_NE(pager, nullptr) << error;
+  if (pager == nullptr) return nullptr;
+  for (PageId i = 0; i < pages; ++i) {
+    const PageId id = pager->Allocate();
+    pager->Write(id, PagePattern(page_size, id));
+  }
+  pager->FlushToBase();
+  return pager;
+}
+
+/// Write a bare superblock with a valid checksum and the given geometry.
+void WriteSuperblock(const std::string& path, uint64_t page_size,
+                     uint64_t num_pages) {
+  ByteWriter w;
+  w.Value<uint64_t>(0x3158444950455242ull);  // "BREPIDX1"
+  w.Value<uint32_t>(FilePager::kFormatVersion);
+  w.Value<uint64_t>(page_size);
+  w.Value<uint64_t>(num_pages);
+  w.Value<uint32_t>(kInvalidPageId);  // no catalog
+  w.Value<uint32_t>(0);
+  w.Value<uint64_t>(0);
+  w.Value<uint32_t>(kInvalidPageId);  // empty free-list
+  w.Value<uint64_t>(0);
+  w.Value<uint64_t>(0);  // durable_lsn (v3)
+  w.Value<uint64_t>(Fnv1a64(w.bytes()));
+  std::vector<uint8_t> block = w.Take();
+  block.resize(4096, 0);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(block.data(), 1, block.size(), f), block.size());
+  std::fclose(f);
 }
 
 /// Flip one byte at `offset` in the file.
@@ -240,36 +297,14 @@ TEST(FilePagerTest, AbsurdPageGeometryWithValidChecksumFailsCleanly) {
   // fields are insane even when its checksum verifies: a 2^60 page size
   // (or a page count that overflows the size arithmetic) must produce a
   // clean error, not a bad_alloc or an overflow-masked crash.
-  auto write_superblock = [](const std::string& path, uint64_t page_size,
-                             uint64_t num_pages) {
-    ByteWriter w;
-    w.Value<uint64_t>(0x3158444950455242ull);  // "BREPIDX1"
-    w.Value<uint32_t>(FilePager::kFormatVersion);
-    w.Value<uint64_t>(page_size);
-    w.Value<uint64_t>(num_pages);
-    w.Value<uint32_t>(kInvalidPageId);  // no catalog
-    w.Value<uint32_t>(0);
-    w.Value<uint64_t>(0);
-    w.Value<uint32_t>(kInvalidPageId);  // empty free-list
-    w.Value<uint64_t>(0);
-    w.Value<uint64_t>(0);  // durable_lsn (v3)
-    w.Value<uint64_t>(Fnv1a64(w.bytes()));
-    std::vector<uint8_t> block = w.Take();
-    block.resize(4096, 0);
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(block.data(), 1, block.size(), f), block.size());
-    std::fclose(f);
-  };
-
   const std::string path = TempPath("absurd.idx");
   std::string error;
 
-  write_superblock(path, uint64_t{1} << 60, 1024);
+  WriteSuperblock(path, uint64_t{1} << 60, 1024);
   EXPECT_EQ(FilePager::Open(path, &error), nullptr);
   EXPECT_NE(error.find("invalid page size"), std::string::npos) << error;
 
-  write_superblock(path, 64, UINT64_MAX / 64);  // num_pages * 64 wraps
+  WriteSuperblock(path, 64, UINT64_MAX / 64);  // num_pages * 64 wraps
   EXPECT_EQ(FilePager::Open(path, &error), nullptr);
   EXPECT_NE(error.find("invalid page count"), std::string::npos) << error;
   std::remove(path.c_str());
@@ -286,6 +321,153 @@ TEST(FilePagerTest, SuperblockShorterThanFullFailsCleanly) {
   std::string error;
   EXPECT_EQ(FilePager::Open(path, &error), nullptr);
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(FilePagerTest, PageSizeKeepsMappedDoublesAligned) {
+  // Pages are read in place from the mapping, and the point store hands
+  // out the doubles of a page where they lie: a page size that is not a
+  // multiple of 8 would misalign every other page's doubles.
+  std::string error;
+  EXPECT_EQ(FilePager::Create(TempPath("odd_create.idx"), 100, &error),
+            nullptr);
+  EXPECT_NE(error.find("multiple of 8"), std::string::npos) << error;
+
+  const std::string path = TempPath("odd_open.idx");
+  WriteSuperblock(path, 100, 0);
+  EXPECT_EQ(FilePager::Open(path, &error), nullptr);
+  EXPECT_NE(error.find("invalid page size"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(FilePagerTest, BasePinsOfOnePageShareTheMappedBytes) {
+  const std::string path = TempPath("shared_pin.idx");
+  auto pager = PatternedFile(path, 128, 4);
+  ASSERT_NE(pager, nullptr);
+  pager->ResetStats();
+  const PagePin a = pager->PinPage(2);
+  EXPECT_EQ(pager->stats().reads, 1u);
+  const PagePin b = pager->PinPage(2);
+  EXPECT_EQ(pager->stats().reads, 2u);  // each pin counts its read
+  EXPECT_EQ(a->data(), b->data());      // and neither copies the page
+  EXPECT_TRUE(HoldsPattern(*a, 2));
+  PageBuffer copy;
+  pager->Read(2, &copy);
+  EXPECT_EQ(copy, PagePattern(128, 2));
+  pager.reset();
+  std::remove(path.c_str());
+}
+
+TEST(FilePagerTest, PinKeepsItsBytesAcrossRemaps) {
+  // The file grows to 64 pages at the first Allocate and doubles after
+  // that, mapping the grown file anew each time: growing to 1,000 pages
+  // remaps it at 65, 129, 257 and 513 pages. The pin taken before holds
+  // the first mapping, which must stay mapped and unchanged.
+  const std::string path = TempPath("remap.idx");
+  auto pager = PatternedFile(path, 64, 1);
+  ASSERT_NE(pager, nullptr);
+  const PagePin pin = pager->PinPage(0);
+  const uint8_t* bytes = pin->data();
+  for (PageId i = 1; i < 1000; ++i) {
+    const PageId id = pager->Allocate();
+    ASSERT_EQ(id, i);
+    pager->Write(id, PagePattern(64, id));
+  }
+  pager->FlushToBase();  // the new pages now live only in the file
+  EXPECT_EQ(pin->data(), bytes);
+  EXPECT_TRUE(HoldsPattern(*pin, 0));
+  PageBuffer copy;
+  for (PageId id = 0; id < 1000; ++id) {
+    EXPECT_TRUE(HoldsPattern(*pager->PinPage(id), id)) << "page " << id;
+    pager->Read(id, &copy);
+    EXPECT_EQ(copy, PagePattern(64, id)) << "page " << id;
+  }
+  pager.reset();
+  std::remove(path.c_str());
+}
+
+TEST(FilePagerTest, PinOutlivesItsPager) {
+  const std::string path = TempPath("orphan_pin.idx");
+  PagePin pin;
+  {
+    auto pager = PatternedFile(path, 256, 3);
+    ASSERT_NE(pager, nullptr);
+    pin = pager->PinPage(1);
+  }  // the pager closes its file and drops its own hold on the mapping
+  EXPECT_TRUE(HoldsPattern(*pin, 1));
+  pin.reset();  // the last owner: unmaps
+  std::remove(path.c_str());
+}
+
+TEST(FilePagerTest, SnapshotReadersPinBasePagesWhileTheWriterGrowsTheFile) {
+  // Readers pin and copy base pages through a snapshot while the writer
+  // allocates pages, remapping the file each time it outgrows its
+  // capacity: no reader may see a page's bytes change or vanish.
+  const std::string path = TempPath("grow_race.idx");
+  constexpr PageId kBase = 40;
+  constexpr size_t kPage = 256;
+  auto pager = PatternedFile(path, kPage, kBase);
+  ASSERT_NE(pager, nullptr);
+  const PageSnapshot snap(*pager);
+  std::atomic<bool> done{false};
+  std::atomic<bool> ok{true};
+  std::atomic<int> passes{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      PageBuffer copy(kPage);
+      std::vector<std::pair<PageId, PagePin>> held;  // kept across remaps
+      do {
+        for (PageId id = 0; id < kBase; ++id) {
+          PagePin pin = snap.PinPage(id);
+          if (!HoldsPattern(*pin, id)) ok.store(false);
+          snap.FetchPage(id, copy.data());
+          if (copy != PagePattern(kPage, id)) ok.store(false);
+          if (held.size() < 64) held.emplace_back(id, std::move(pin));
+        }
+        passes.fetch_add(1);
+      } while (!done.load());
+      for (const auto& [id, pin] : held) {
+        if (!HoldsPattern(*pin, id)) ok.store(false);
+      }
+    });
+  }
+  while (passes.load() < 3) std::this_thread::yield();  // readers are in
+  for (int i = 0; i < 2000; ++i) {  // remaps at 65, 129, ..., 1025 pages
+    const PageId id = pager->Allocate();
+    pager->Write(id, PagePattern(kPage, id));
+  }
+  done.store(true);
+  for (std::thread& r : readers) r.join();
+  EXPECT_TRUE(ok.load());
+  pager.reset();
+  std::remove(path.c_str());
+}
+
+TEST(FilePagerTest, ReadLatencyCountsEveryBackendRead) {
+  // brep_io_read_latency_ms exports this histogram. A mapped pin and a
+  // copy are one backend read each, so its count follows the pager's
+  // base-page reads on a reopened file.
+  const std::string path = TempPath("read_latency.idx");
+  {
+    auto pager = PatternedFile(path, 128, 6);
+    ASSERT_NE(pager, nullptr);
+    pager->Sync();
+  }
+  std::string error;
+  auto pager = FilePager::Open(path, &error);
+  ASSERT_NE(pager, nullptr) << error;
+  const uint64_t samples = pager->read_latency().count;
+  const IoStats io = pager->stats();
+  constexpr PageId kPins = 5;
+  constexpr PageId kCopies = 3;
+  std::vector<PagePin> pins;
+  for (PageId id = 0; id < kPins; ++id) pins.push_back(pager->PinPage(id));
+  PageBuffer copy(128);
+  for (PageId id = 0; id < kCopies; ++id) pager->FetchPage(id, copy.data());
+  EXPECT_EQ(pager->read_latency().count - samples, kPins + kCopies);
+  EXPECT_EQ((pager->stats() - io).reads, kPins + kCopies);
+  pager.reset();
   std::remove(path.c_str());
 }
 

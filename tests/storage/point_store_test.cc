@@ -1,5 +1,6 @@
 #include "storage/point_store.h"
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -95,6 +96,30 @@ TEST(PointStoreTest, KeptPagesAreNotReadAgain) {
                   &memo);
   EXPECT_EQ(pager.stats().reads, 4u);  // only page 2 is new
   EXPECT_EQ(seen, (std::set<uint32_t>{2, 10, 16, 41}));
+}
+
+TEST(PointStoreTest, FetchManyOverShadowPagesReadsThePagersOwnImage) {
+  // The store's pages were written and never flushed, so the pager holds
+  // each as a shadow image: FetchMany pins it and hands the callback spans
+  // inside that image, copying nothing.
+  MemPager pager(256);  // 8 points per page
+  const Matrix data = TestData(64, 4);
+  const PointStore store(&pager, data, {});
+  pager.ResetStats();
+  const std::vector<uint32_t> ids{1, 9, 40, 41};
+  std::map<uint32_t, const double*> spans;
+  store.FetchMany(ids, [&](uint32_t id, std::span<const double> x) {
+    spans[id] = x.data();
+  });
+  EXPECT_EQ(pager.stats().reads, 3u);  // pages 0, 1, 5
+  ASSERT_EQ(spans.size(), ids.size());
+  for (uint32_t id : ids) {
+    const PointAddress addr = store.AddressOf(id);
+    const PagePin page = pager.PinPage(addr.page);
+    EXPECT_EQ(reinterpret_cast<const uint8_t*>(spans[id]),
+              page->data() + addr.slot * 4 * sizeof(double))
+        << "id " << id;
+  }
 }
 
 TEST(PointStoreTest, ClusteredIdsCostFewerPagesThanScattered) {
